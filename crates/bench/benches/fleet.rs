@@ -1,6 +1,6 @@
 //! Batched fleet anchor solves: heterogeneous model batches through
-//! [`SolveCache::solve_fleet`] across fleet sizes, plus the raw SIMD
-//! recombination kernels that power [`FleetSweep`] per-point solves.
+//! [`SolveCache::solve_fleet`] across fleet sizes, plus the raw
+//! recombination kernels that power [`SweepSolver`] per-point solves.
 //! Compare the fleet numbers against `algorithms.rs` single-solve costs
 //! to see what sharding across the persistent pool buys.
 
@@ -8,8 +8,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use std::hint::black_box;
 
 use xbar_bench::fleet_member_model;
-use xbar_core::simd::{combine_fast, combine_scalar, combine_strict};
-use xbar_core::{Algorithm, FleetSweep, Model, SolveCache};
+use xbar_core::simd::{combine_scalar, combine_strict};
+use xbar_core::{sweep_many, Algorithm, Model, SolveCache, SweepSolver};
 
 fn quick() -> Criterion {
     Criterion::default()
@@ -38,20 +38,30 @@ fn bench_fleet_solve(c: &mut Criterion) {
     g.finish();
 }
 
-/// Per-point recombinations through a shared [`FleetSweep`] arena: the
-/// figure drivers' hot path (one `O(N)` kernel pass per point).
+/// Per-point recombinations through solvers built by [`sweep_many`]:
+/// the figure drivers' hot path (one `O(N)` kernel pass per point).
 fn bench_fleet_sweep_point(c: &mut Criterion) {
     let mut g = c.benchmark_group("fleet_sweep_point");
     let models: Vec<Model> = (0..16).map(fleet_member_model).collect();
-    let fleet = FleetSweep::new(&models, Algorithm::Auto).expect("fleet precompute");
+    let solvers: Vec<SweepSolver> = sweep_many(&models, Algorithm::Auto)
+        .into_iter()
+        .collect::<Result<_, _>>()
+        .expect("fleet precompute");
     let class = models[7].workload().classes()[0].clone();
     g.bench_function("solve_with_class", |b| {
-        b.iter(|| black_box(fleet.solve_with_class(7, 0, class.clone()).expect("point")))
+        b.iter(|| {
+            black_box(
+                solvers[7]
+                    .solve_with_class(0, class.clone())
+                    .expect("point"),
+            )
+        })
     });
     g.finish();
 }
 
-/// The raw recombination kernels at a figure-sized ray, all three modes.
+/// The raw recombination kernels at a figure-sized ray: the strict
+/// kernel the sweep runs and its scalar reference.
 fn bench_kernels(c: &mut Criterion) {
     let mut g = c.benchmark_group("fleet_kernels");
     let len = 257usize;
@@ -63,9 +73,6 @@ fn bench_kernels(c: &mut Criterion) {
     });
     g.bench_function("strict", |b| {
         b.iter(|| black_box(combine_strict(&base, &coef, 1, true)))
-    });
-    g.bench_function("fast", |b| {
-        b.iter(|| black_box(combine_fast(&base, &coef, 1, true)))
     });
     g.finish();
 }

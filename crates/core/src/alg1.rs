@@ -80,20 +80,51 @@ pub const PAR_MIN_DIM: usize = 96;
 /// splitting a handful of cells across threads.
 pub const PAR_MIN_DIAG_LEN: usize = 16;
 
-/// Scalar arithmetic needed by the `Q`-recursion.
-pub trait QScalar: Copy {
+/// Scalar arithmetic shared by the `Q`-recursion and the sweep solver's
+/// diagonal rays ([`crate::sweep`]): plain `f64` or extended-range
+/// [`ExtFloat`].
+pub trait QScalar: Copy + Send + Sync {
     /// Additive identity.
     fn zero() -> Self;
     /// Multiplicative identity.
     fn one() -> Self;
     /// `self + other`.
     fn add(self, other: Self) -> Self;
+    /// `self · other`.
+    fn mul(self, other: Self) -> Self;
     /// `self · x` for an `f64` coefficient.
     fn scale(self, x: f64) -> Self;
     /// `self / den` as an `f64` (the form every measure takes).
     fn ratio_to(self, den: Self) -> f64;
-    /// `true` iff the value is exactly zero (used by health checks).
+    /// `e^x` as a scalar.
+    fn from_ln(x: f64) -> Self;
+    /// `true` iff the value is exactly zero (the lattice health check).
     fn is_zero(self) -> bool;
+    /// The ray health check: a scaled `f64` must stay finite and
+    /// positive; extended range is always healthy.
+    fn healthy(self) -> bool;
+
+    /// The sweep's recombination primitive:
+    /// `out[d] = (seed_base ? base[d] : 0) + Σ_{j≥1} coef[j]·base[d+j·a]`,
+    /// truncated at the ray end. The default is the reference scalar
+    /// loop; `f64` overrides it with the multi-lane kernel in
+    /// [`crate::simd`], which is bit-for-bit the same loop.
+    fn combine(base: &[Self], coef: &[Self], a: usize, seed_base: bool) -> Vec<Self> {
+        let len = base.len();
+        let mut out = Vec::with_capacity(len);
+        for d in 0..len {
+            let mut acc = if seed_base { base[d] } else { Self::zero() };
+            let mut j = 1;
+            let mut idx = d + a;
+            while idx < len {
+                acc = acc.add(coef[j].mul(base[idx]));
+                j += 1;
+                idx += a;
+            }
+            out.push(acc);
+        }
+        out
+    }
 }
 
 impl QScalar for f64 {
@@ -106,14 +137,26 @@ impl QScalar for f64 {
     fn add(self, other: Self) -> Self {
         self + other
     }
+    fn mul(self, other: Self) -> Self {
+        self * other
+    }
     fn scale(self, x: f64) -> Self {
         self * x
     }
     fn ratio_to(self, den: Self) -> f64 {
         self / den
     }
+    fn from_ln(x: f64) -> Self {
+        x.exp()
+    }
     fn is_zero(self) -> bool {
         self == 0.0
+    }
+    fn healthy(self) -> bool {
+        self.is_finite() && self > 0.0
+    }
+    fn combine(base: &[f64], coef: &[f64], a: usize, seed_base: bool) -> Vec<f64> {
+        crate::simd::combine_strict(base, coef, a, seed_base)
     }
 }
 
@@ -127,15 +170,32 @@ impl QScalar for ExtFloat {
     fn add(self, other: Self) -> Self {
         self + other
     }
+    fn mul(self, other: Self) -> Self {
+        self * other
+    }
     fn scale(self, x: f64) -> Self {
         self * x
     }
     fn ratio_to(self, den: Self) -> f64 {
         self.ratio(den)
     }
+    fn from_ln(x: f64) -> Self {
+        ExtFloat::exp(x)
+    }
     fn is_zero(self) -> bool {
         ExtFloat::is_zero(self)
     }
+    fn healthy(self) -> bool {
+        true
+    }
+}
+
+/// The §6 per-coordinate scaling exponent `ln c = max(ln(max N) − 1, 0)`
+/// shared by [`ScaledQLattice`] and the sweep's scaled rays: it flattens
+/// the factorial decay (Stirling), and the clamp at 0 leaves tiny
+/// switches unscaled.
+pub(crate) fn scale_ln_c(dims: Dims) -> f64 {
+    ((dims.max_n() as f64).ln() - 1.0).max(0.0)
 }
 
 /// Access to ratios `Q(num)/Q(den)` of normalisation constants — the
@@ -209,10 +269,8 @@ impl<'a, S: QScalar> Cells<'a, S> {
 
 /// Raw shared view of the `V`-recursion storage: one flat buffer holding
 /// `lanes` row-major lattices back to back (lane `j` is bursty class
-/// `j`'s `V` lattice). A single allocation instead of a `Vec` of buffers
-/// lets [`LatticeArena`] reuse it across solves with zero steady-state
-/// allocation; the same wavefront discipline as [`Cells`] makes the raw
-/// pointer sharing sound.
+/// `j`'s `V` lattice). The same wavefront discipline as [`Cells`] makes
+/// the raw pointer sharing sound.
 struct VCells<'a, S> {
     ptr: *mut S,
     cols: usize,
@@ -285,7 +343,7 @@ trait CellKernel<S: QScalar>: Sync {
 /// cells per bursty class, back to back.
 fn sweep<S, K>(n1: usize, n2: usize, q: &mut [S], v: &mut [S], kernel: &K, threads: usize)
 where
-    S: QScalar + Send,
+    S: QScalar,
     K: CellKernel<S>,
 {
     let cols = n2 + 1;
@@ -389,41 +447,26 @@ struct PlainCoeffs {
 }
 
 impl PlainCoeffs {
-    fn new() -> Self {
-        PlainCoeffs {
+    fn of(model: &Model) -> Self {
+        let mut co = PlainCoeffs {
             poisson_a: Vec::new(),
             poisson_a_rho: Vec::new(),
             bursty_a: Vec::new(),
             bursty_a_rho: Vec::new(),
             bursty_beta_over_mu: Vec::new(),
-        }
-    }
-
-    /// Recompute the table for `model` in place (clear + push: free of
-    /// allocation once the vectors have grown to the workload size).
-    fn fill(&mut self, model: &Model) {
-        self.poisson_a.clear();
-        self.poisson_a_rho.clear();
-        self.bursty_a.clear();
-        self.bursty_a_rho.clear();
-        self.bursty_beta_over_mu.clear();
+        };
         for c in model.workload().classes() {
             let a = c.bandwidth as i64;
             let a_rho = a as f64 * c.rho();
             if c.is_poisson() {
-                self.poisson_a.push(a);
-                self.poisson_a_rho.push(a_rho);
+                co.poisson_a.push(a);
+                co.poisson_a_rho.push(a_rho);
             } else {
-                self.bursty_a.push(a);
-                self.bursty_a_rho.push(a_rho);
-                self.bursty_beta_over_mu.push(c.beta / c.mu);
+                co.bursty_a.push(a);
+                co.bursty_a_rho.push(a_rho);
+                co.bursty_beta_over_mu.push(c.beta / c.mu);
             }
         }
-    }
-
-    fn of(model: &Model) -> Self {
-        let mut co = Self::new();
-        co.fill(model);
         co
     }
 }
@@ -432,7 +475,7 @@ struct PlainKernel<'c> {
     co: &'c PlainCoeffs,
 }
 
-impl<S: QScalar + Send> CellKernel<S> for PlainKernel<'_> {
+impl<S: QScalar> CellKernel<S> for PlainKernel<'_> {
     #[inline(always)]
     unsafe fn cell(&self, q: &Cells<'_, S>, v: &VCells<'_, S>, i1: i64, i2: i64) {
         let co = self.co;
@@ -474,7 +517,7 @@ pub struct QLattice<S> {
     q: Vec<S>,
 }
 
-impl<S: QScalar + Send> QLattice<S> {
+impl<S: QScalar> QLattice<S> {
     /// Run Algorithm 1 for `model`, choosing the thread count
     /// automatically (see [`crate::parallel`]; small lattices stay serial).
     pub fn solve(model: &Model) -> Self {
@@ -554,46 +597,29 @@ struct ScaledCoeffs {
 }
 
 impl ScaledCoeffs {
-    fn new() -> Self {
-        ScaledCoeffs {
+    fn of(model: &Model, ln_c: f64) -> Self {
+        let mut co = ScaledCoeffs {
             a: Vec::new(),
             a_rho: Vec::new(),
             c2a: Vec::new(),
             beta_over_mu: Vec::new(),
             v_slot: Vec::new(),
             n_bursty: 0,
-            c: 1.0,
-        }
-    }
-
-    /// Recompute the table for `model` in place (allocation-free at
-    /// steady state, as [`PlainCoeffs::fill`]).
-    fn fill(&mut self, model: &Model, ln_c: f64) {
-        self.a.clear();
-        self.a_rho.clear();
-        self.c2a.clear();
-        self.beta_over_mu.clear();
-        self.v_slot.clear();
-        self.n_bursty = 0;
-        self.c = ln_c.exp();
+            c: ln_c.exp(),
+        };
         for cl in model.workload().classes() {
             let a = cl.bandwidth as i64;
-            self.a.push(a);
-            self.a_rho.push(a as f64 * cl.rho());
-            self.c2a.push((2.0 * a as f64 * ln_c).exp());
-            self.beta_over_mu.push(cl.beta / cl.mu);
+            co.a.push(a);
+            co.a_rho.push(a as f64 * cl.rho());
+            co.c2a.push((2.0 * a as f64 * ln_c).exp());
+            co.beta_over_mu.push(cl.beta / cl.mu);
             if cl.is_poisson() {
-                self.v_slot.push(usize::MAX);
+                co.v_slot.push(usize::MAX);
             } else {
-                self.v_slot.push(self.n_bursty);
-                self.n_bursty += 1;
+                co.v_slot.push(co.n_bursty);
+                co.n_bursty += 1;
             }
         }
-    }
-
-    fn of(model: &Model, ln_c: f64) -> Self {
-        let mut co = Self::new();
-        co.fill(model, ln_c);
         co
     }
 }
@@ -670,9 +696,7 @@ impl ScaledQLattice {
     pub fn solve_with_threads(model: &Model, threads: usize) -> Self {
         let dims = model.dims();
         let (n1, n2) = (dims.n1 as usize, dims.n2 as usize);
-        // ln c = ln(Nmax) − 1 flattens the factorial decay (Stirling);
-        // clamp at 0 so tiny switches are simply unscaled.
-        let ln_c = ((dims.max_n() as f64).ln() - 1.0).max(0.0);
+        let ln_c = scale_ln_c(dims);
         let co = ScaledCoeffs::of(model, ln_c);
         let cells = (n1 + 1) * (n2 + 1);
         let mut qhat = vec![0.0f64; cells];
@@ -723,197 +747,6 @@ impl QRatio for ScaledQLattice {
             return 0.0;
         }
         // Q(num)/Q(den) = Q̂(num)/Q̂(den) · c^{(den1+den2) − (num1+num2)}.
-        let shift = (den.0 + den.1 - num.0 - num.1) as f64;
-        self.qhat(num.0, num.1) / self.qhat(den.0, den.1) * (shift * self.ln_c).exp()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Arena-backed solves
-// ---------------------------------------------------------------------------
-
-/// Reusable flat storage for repeated Algorithm-1 solves: the `Q` buffer,
-/// the `V` lanes and both coefficient tables live in one arena that is
-/// cleared and refilled per solve instead of reallocated. After a warm-up
-/// solve at the largest dims in play, further solves perform **zero**
-/// allocations (asserted by a counting-allocator test in `crates/bench`).
-///
-/// ```
-/// use xbar_core::alg1::LatticeArena;
-/// use xbar_core::{Dims, Model};
-/// use xbar_traffic::{TrafficClass, Workload};
-///
-/// let w = Workload::new().with(TrafficClass::bpp(0.1, 0.05, 1.0));
-/// let model = Model::new(Dims::square(16), w).unwrap();
-/// let mut arena = LatticeArena::<f64>::new();
-/// for i in 0..4 {
-///     let m = model.with_rho(0, 0.1 + 0.02 * i as f64).unwrap();
-///     let lat = arena.solve(&m); // no allocation after the first pass
-///     assert!(lat.is_healthy());
-/// }
-/// ```
-pub struct LatticeArena<S> {
-    q: Vec<S>,
-    v: Vec<S>,
-    plain: PlainCoeffs,
-    scaled: ScaledCoeffs,
-}
-
-impl<S: QScalar + Send> LatticeArena<S> {
-    /// An empty arena; buffers grow on first use.
-    pub fn new() -> Self {
-        LatticeArena {
-            q: Vec::new(),
-            v: Vec::new(),
-            plain: PlainCoeffs::new(),
-            scaled: ScaledCoeffs::new(),
-        }
-    }
-
-    /// Run Algorithm 1 for `model` in this arena (automatic thread
-    /// count, as [`QLattice::solve`]). The returned view borrows the
-    /// arena; values are bit-for-bit identical to [`QLattice`]'s.
-    pub fn solve(&mut self, model: &Model) -> ArenaLattice<'_, S> {
-        self.solve_with_threads(model, auto_threads(model.dims()))
-    }
-
-    /// As [`LatticeArena::solve`] with an explicit thread count. Only
-    /// `threads <= 1` (the serial sweep) is allocation-free at steady
-    /// state — the wavefront spawns scoped worker threads.
-    pub fn solve_with_threads(&mut self, model: &Model, threads: usize) -> ArenaLattice<'_, S> {
-        let dims = model.dims();
-        let (n1, n2) = (dims.n1 as usize, dims.n2 as usize);
-        self.plain.fill(model);
-        let cells = (n1 + 1) * (n2 + 1);
-        self.q.clear();
-        self.q.resize(cells, S::zero());
-        self.v.clear();
-        self.v.resize(cells * self.plain.bursty_a.len(), S::zero());
-        self.q[0] = S::one();
-        let kernel = PlainKernel { co: &self.plain };
-        sweep(n1, n2, &mut self.q, &mut self.v, &kernel, threads);
-        ArenaLattice { dims, q: &self.q }
-    }
-}
-
-impl LatticeArena<f64> {
-    /// Run the §6 scaled Algorithm 1 in this arena (automatic thread
-    /// count); values are bit-for-bit identical to [`ScaledQLattice`]'s.
-    pub fn solve_scaled(&mut self, model: &Model) -> ScaledArenaLattice<'_> {
-        self.solve_scaled_with_threads(model, auto_threads(model.dims()))
-    }
-
-    /// As [`LatticeArena::solve_scaled`] with an explicit thread count.
-    pub fn solve_scaled_with_threads(
-        &mut self,
-        model: &Model,
-        threads: usize,
-    ) -> ScaledArenaLattice<'_> {
-        let dims = model.dims();
-        let (n1, n2) = (dims.n1 as usize, dims.n2 as usize);
-        let ln_c = ((dims.max_n() as f64).ln() - 1.0).max(0.0);
-        self.scaled.fill(model, ln_c);
-        let cells = (n1 + 1) * (n2 + 1);
-        self.q.clear();
-        self.q.resize(cells, 0.0);
-        self.v.clear();
-        self.v.resize(cells * self.scaled.n_bursty, 0.0);
-        self.q[0] = 1.0;
-        let kernel = ScaledKernel { co: &self.scaled };
-        sweep(n1, n2, &mut self.q, &mut self.v, &kernel, threads);
-        ScaledArenaLattice {
-            dims,
-            ln_c,
-            qhat: &self.q,
-        }
-    }
-}
-
-impl<S: QScalar + Send> Default for LatticeArena<S> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// A plain-backend lattice borrowed from a [`LatticeArena`] — the same
-/// read interface as [`QLattice`], valid until the arena's next solve.
-pub struct ArenaLattice<'a, S> {
-    dims: Dims,
-    q: &'a [S],
-}
-
-impl<S: QScalar> ArenaLattice<'_, S> {
-    /// Raw `Q(i1, i2)` (zero outside the non-negative quadrant).
-    pub fn q(&self, i1: i64, i2: i64) -> S {
-        if i1 < 0 || i2 < 0 {
-            S::zero()
-        } else {
-            assert!(
-                i1 <= self.dims.n1 as i64 && i2 <= self.dims.n2 as i64,
-                "Q({i1},{i2}) outside solved lattice {}",
-                self.dims
-            );
-            self.q[i1 as usize * (self.dims.n2 as usize + 1) + i2 as usize]
-        }
-    }
-
-    /// As [`QLattice::is_healthy`].
-    pub fn is_healthy(&self) -> bool {
-        !self.q.iter().any(|x| x.is_zero())
-    }
-}
-
-impl<S: QScalar> QRatio for ArenaLattice<'_, S> {
-    fn dims(&self) -> Dims {
-        self.dims
-    }
-
-    fn q_ratio(&self, num: (i64, i64), den: (i64, i64)) -> f64 {
-        if num.0 < 0 || num.1 < 0 {
-            return 0.0;
-        }
-        self.q(num.0, num.1).ratio_to(self.q(den.0, den.1))
-    }
-}
-
-/// A scaled-backend lattice borrowed from a [`LatticeArena`] — the same
-/// read interface as [`ScaledQLattice`], valid until the arena's next
-/// solve.
-pub struct ScaledArenaLattice<'a> {
-    dims: Dims,
-    ln_c: f64,
-    qhat: &'a [f64],
-}
-
-impl ScaledArenaLattice<'_> {
-    fn qhat(&self, i1: i64, i2: i64) -> f64 {
-        if i1 < 0 || i2 < 0 {
-            0.0
-        } else {
-            assert!(
-                i1 <= self.dims.n1 as i64 && i2 <= self.dims.n2 as i64,
-                "Q({i1},{i2}) outside solved lattice {}",
-                self.dims
-            );
-            self.qhat[i1 as usize * (self.dims.n2 as usize + 1) + i2 as usize]
-        }
-    }
-
-    /// As [`ScaledQLattice::is_healthy`].
-    pub fn is_healthy(&self) -> bool {
-        self.qhat.iter().all(|x| x.is_finite() && *x > 0.0)
-    }
-}
-
-impl QRatio for ScaledArenaLattice<'_> {
-    fn dims(&self) -> Dims {
-        self.dims
-    }
-
-    fn q_ratio(&self, num: (i64, i64), den: (i64, i64)) -> f64 {
-        if num.0 < 0 || num.1 < 0 {
-            return 0.0;
-        }
         let shift = (den.0 + den.1 - num.0 - num.1) as f64;
         self.qhat(num.0, num.1) / self.qhat(den.0, den.1) * (shift * self.ln_c).exp()
     }
@@ -1106,83 +939,5 @@ mod tests {
         let m = mixed_model(3, 3);
         let lat: QLattice<f64> = QLattice::solve(&m);
         let _ = lat.q(4, 0);
-    }
-
-    #[test]
-    fn arena_solves_are_bit_identical_to_fresh_lattices() {
-        let mut arena = LatticeArena::<f64>::new();
-        // Reuse the same arena across different dims and workloads — the
-        // buffers must be fully re-initialised each time.
-        for (n1, n2) in [(8u32, 5u32), (5, 8), (12, 12), (3, 3)] {
-            let m = mixed_model(n1, n2);
-            let fresh: QLattice<f64> = QLattice::solve_with_threads(&m, 1);
-            let lat = arena.solve_with_threads(&m, 1);
-            for i1 in 0..=n1 as i64 {
-                for i2 in 0..=n2 as i64 {
-                    assert_eq!(
-                        lat.q(i1, i2).to_bits(),
-                        fresh.q(i1, i2).to_bits(),
-                        "arena cell ({i1},{i2}) differs at {n1}x{n2}"
-                    );
-                }
-            }
-            assert_eq!(lat.is_healthy(), fresh.is_healthy());
-        }
-    }
-
-    #[test]
-    fn scaled_arena_solves_are_bit_identical_to_fresh_lattices() {
-        let mut arena = LatticeArena::<f64>::new();
-        for (n1, n2) in [(9u32, 6u32), (17, 17), (4, 4)] {
-            let m = mixed_model(n1, n2);
-            let fresh = ScaledQLattice::solve_with_threads(&m, 1);
-            let lat = arena.solve_scaled_with_threads(&m, 1);
-            for i1 in 0..=n1 as i64 {
-                for i2 in 0..=n2 as i64 {
-                    assert_eq!(
-                        lat.qhat(i1, i2).to_bits(),
-                        fresh.qhat(i1, i2).to_bits(),
-                        "scaled arena cell ({i1},{i2}) differs at {n1}x{n2}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn arena_wavefront_matches_serial_arena() {
-        let m = mixed_model(11, 7);
-        let mut serial = LatticeArena::<ExtFloat>::new();
-        let mut par = LatticeArena::<ExtFloat>::new();
-        // Two arenas (the borrows would otherwise overlap), same cells.
-        let a = serial.solve_with_threads(&m, 1);
-        let b = par.solve_with_threads(&m, 4);
-        for i1 in 0..=11i64 {
-            for i2 in 0..=7i64 {
-                assert_eq!(a.q(i1, i2), b.q(i1, i2));
-            }
-        }
-    }
-
-    #[test]
-    fn arena_lattice_feeds_measures_like_a_fresh_solve() {
-        let m = mixed_model(10, 10);
-        let mut arena = LatticeArena::<f64>::new();
-        let lat = arena.solve(&m);
-        let from_arena = crate::measures::measures(&m, &lat);
-        let fresh: QLattice<f64> = QLattice::solve(&m);
-        let reference = crate::measures::measures(&m, &fresh);
-        for r in 0..4 {
-            close(
-                from_arena.classes[r].nonblocking,
-                reference.classes[r].nonblocking,
-                1e-15,
-            );
-            close(
-                from_arena.classes[r].concurrency,
-                reference.classes[r].concurrency,
-                1e-15,
-            );
-        }
     }
 }

@@ -11,13 +11,10 @@
 //!   steal whole models from a shared queue, and return results in
 //!   input order. This is what the serve daemon's coalesced re-anchors
 //!   and the CLI `xbar fleet` command call.
-//! * [`FleetSweep`] — batched *sweep* precomputes: every member's full
-//!   and leave-one-out recombination rays live in one flat
-//!   structure-of-arrays `f64` arena (members that escalate to the
-//!   extended-range backend keep an owned [`SweepSolver`] instead),
-//!   so multi-cell figure drivers hold one allocation for a whole
-//!   curve family and per-point recombinations run the
-//!   [`crate::simd`] kernels over contiguous arena slices.
+//! * [`sweep_many`] — batched *sweep* precomputes: one owned
+//!   [`SweepSolver`] per model, built on the same sharded pool. The
+//!   figure drivers, per-anchor repricing solvers and
+//!   [`crate::SweepGrid`] batch builds all warm through it.
 //!
 //! Sharding pins each member's inner solve to one thread
 //! ([`crate::parallel::with_threads`]): with whole models to hand out,
@@ -28,13 +25,12 @@
 use std::sync::{Arc, Mutex};
 
 use crossbeam::queue::SegQueue;
-use xbar_traffic::{TrafficClass, Workload};
 
 use crate::model::Model;
 use crate::parallel;
 use crate::solver::cache::global_cache;
 use crate::solver::{Algorithm, Solution, SolveError};
-use crate::sweep::{install_class, Ray, RayRepr, Repr, SweepSolution, SweepSolver};
+use crate::sweep::SweepSolver;
 
 /// Run `f(i)` for every `i in 0..n` across the persistent pool with
 /// work stealing and return the results in index order.
@@ -99,254 +95,22 @@ pub fn solve_fleet(
 /// the persistent worker pool with work stealing (results in input
 /// order, one `Result` per model).
 ///
-/// This is the warm path for per-anchor repricing solvers and
-/// [`crate::SweepGrid`] batch builds: the `O(R²·C²)` precomputes
-/// amortise across the pool exactly like [`FleetSweep::new`], but each
-/// result stays an independent solver instead of packing into the
-/// shared arena. Counted as `fleet.sweep_warm` (one increment per
-/// model).
+/// This is the warm path for the figure drivers, per-anchor repricing
+/// solvers and [`crate::SweepGrid`] batch builds: the `O(R²·C²)`
+/// precomputes amortise across the pool. Counted as `fleet.sweep_warm`
+/// (one increment per model).
 pub fn sweep_many(models: &[Model], algorithm: Algorithm) -> Vec<Result<SweepSolver, SolveError>> {
     xbar_obs::add("fleet.sweep_warm", models.len() as u64);
     shard_map(models.len(), |i| SweepSolver::new(&models[i], algorithm))
-}
-
-// ---------------------------------------------------------------------------
-// FleetSweep
-// ---------------------------------------------------------------------------
-
-/// Arena range of one ray: `arena[start..end]`.
-type Span = (usize, usize);
-
-enum MemberRepr {
-    /// Scaled-`f64` member: rays live in the shared fleet arena.
-    Scaled {
-        ln_c: f64,
-        full: Span,
-        loo: Vec<Span>,
-    },
-    /// Extended-range member (escalated or requested): owns its solver.
-    Ext(Box<SweepSolver>),
-}
-
-struct Member {
-    model: Model,
-    /// Effective backend (`Alg1Scaled` or `Alg1Ext`).
-    algorithm: Algorithm,
-    repr: MemberRepr,
-}
-
-/// A fleet of [`SweepSolver`] precomputes over one structure-of-arrays
-/// coefficient arena.
-///
-/// Construction shards the per-member `O(R²·C²)` ray builds across the
-/// persistent pool; afterwards every scaled member's full and
-/// leave-one-out rays are contiguous `f64` spans of a single flat
-/// buffer, and per-point solves ([`FleetSweep::solve_with_class`])
-/// recombine them with the [`crate::simd`] kernels. Results are
-/// bit-for-bit identical to a per-model [`SweepSolver`] under the same
-/// kernel mode — the arena changes where rays live, not what they hold.
-///
-/// ```
-/// use xbar_core::{Algorithm, Dims, FleetSweep, Model};
-/// use xbar_traffic::{TrafficClass, Workload};
-///
-/// let models: Vec<Model> = (4..8)
-///     .map(|n| {
-///         let w = Workload::new().with(TrafficClass::poisson(0.1 * n as f64));
-///         Model::new(Dims::square(n), w).unwrap()
-///     })
-///     .collect();
-/// let fleet = FleetSweep::new(&models, Algorithm::Auto).unwrap();
-/// for i in 0..fleet.len() {
-///     assert!(fleet.solve_base(i).unwrap().blocking(0) < 1.0);
-/// }
-/// ```
-pub struct FleetSweep {
-    arena: Vec<f64>,
-    members: Vec<Member>,
-}
-
-impl FleetSweep {
-    /// Precompute every member's leave-one-out rays (sharded over the
-    /// pool) and pack the scaled ones into the shared arena. Fails on
-    /// the first member whose precompute fails; backend policy per
-    /// member is exactly [`SweepSolver::new`]'s.
-    pub fn new(models: &[Model], algorithm: Algorithm) -> Result<Self, SolveError> {
-        xbar_obs::inc("fleet.sweeps");
-        xbar_obs::record("fleet.sweep_size", models.len() as f64);
-        let solvers = shard_map(models.len(), |i| SweepSolver::new(&models[i], algorithm));
-        let mut arena = Vec::new();
-        let mut members = Vec::with_capacity(models.len());
-        let push = |arena: &mut Vec<f64>, vals: Vec<f64>| -> Span {
-            let start = arena.len();
-            arena.extend_from_slice(&vals);
-            (start, arena.len())
-        };
-        for solver in solvers {
-            let (model, algorithm, repr) = solver?.into_parts();
-            let repr = match repr {
-                Repr::Scaled { full, loo } => MemberRepr::Scaled {
-                    ln_c: full.ln_c,
-                    full: push(&mut arena, full.vals),
-                    loo: loo.into_iter().map(|l| push(&mut arena, l)).collect(),
-                },
-                ext => MemberRepr::Ext(Box::new(SweepSolver::from_parts(
-                    model.clone(),
-                    algorithm,
-                    ext,
-                ))),
-            };
-            members.push(Member {
-                model,
-                algorithm,
-                repr,
-            });
-        }
-        Ok(FleetSweep { arena, members })
-    }
-
-    /// Number of member models.
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// `true` iff the fleet has no members.
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
-    /// Member `i`'s base model.
-    pub fn model(&self, i: usize) -> &Model {
-        &self.members[i].model
-    }
-
-    /// Member `i`'s effective backend (`Alg1Scaled` or `Alg1Ext`).
-    pub fn algorithm(&self, i: usize) -> Algorithm {
-        self.members[i].algorithm
-    }
-
-    /// Solve member `i`'s base model from its cached full ray.
-    pub fn solve_base(&self, i: usize) -> Result<SweepSolution, SolveError> {
-        let member = &self.members[i];
-        match &member.repr {
-            MemberRepr::Ext(solver) => solver.solve_base(),
-            MemberRepr::Scaled { ln_c, full, .. } => {
-                xbar_obs::inc("sweep.reuse");
-                let ray = Ray {
-                    dims: member.model.dims(),
-                    ln_c: *ln_c,
-                    vals: self.arena[full.0..full.1].to_vec(),
-                };
-                SweepSolution::from_ray(
-                    member.model.clone(),
-                    member.algorithm,
-                    RayRepr::Scaled(ray),
-                )
-            }
-        }
-    }
-
-    /// Replace member `i`'s class `r` with `class` and solve by one
-    /// `O(C²/a)` recombination against the member's leave-one-out span
-    /// of the shared arena. Semantics match
-    /// [`SweepSolver::solve_with_class`] bit for bit.
-    pub fn solve_with_class(
-        &self,
-        i: usize,
-        r: usize,
-        class: TrafficClass,
-    ) -> Result<SweepSolution, SolveError> {
-        let member = &self.members[i];
-        match &member.repr {
-            MemberRepr::Ext(solver) => solver.solve_with_class(r, class),
-            MemberRepr::Scaled { .. } => {
-                let mut classes = member.model.workload().classes().to_vec();
-                classes[r] = class;
-                let model = Model::new(member.model.dims(), Workload::from_classes(classes))?;
-                self.solve_scaled_edited(i, r, model)
-            }
-        }
-    }
-
-    /// Sweep member `i`'s class `r` offered load (`ρ_r = rho`), like
-    /// [`SweepSolver::solve_with_rho`].
-    pub fn solve_with_rho(
-        &self,
-        i: usize,
-        r: usize,
-        rho: f64,
-    ) -> Result<SweepSolution, SolveError> {
-        let member = &self.members[i];
-        match &member.repr {
-            MemberRepr::Ext(solver) => solver.solve_with_rho(r, rho),
-            MemberRepr::Scaled { .. } => {
-                let model = member
-                    .model
-                    .with_rho(r, rho)
-                    .expect("with_rho never fails for an in-range class");
-                self.solve_scaled_edited(i, r, model)
-            }
-        }
-    }
-
-    /// One recombination solve for a scaled member: reuse the full ray
-    /// for weight-only edits, otherwise install the edited class on the
-    /// leave-one-out arena span.
-    fn solve_scaled_edited(
-        &self,
-        i: usize,
-        r: usize,
-        model: Model,
-    ) -> Result<SweepSolution, SolveError> {
-        let member = &self.members[i];
-        let MemberRepr::Scaled { ln_c, full, loo } = &member.repr else {
-            unreachable!("solve_scaled_edited called on an extended-range member");
-        };
-        let class = &model.workload().classes()[r];
-        let base = &member.model.workload().classes()[r];
-        let same_lattice = class.alpha == base.alpha
-            && class.beta == base.beta
-            && class.mu == base.mu
-            && class.bandwidth == base.bandwidth;
-        let ray = if same_lattice {
-            xbar_obs::inc("sweep.reuse");
-            Ray {
-                dims: member.model.dims(),
-                ln_c: *ln_c,
-                vals: self.arena[full.0..full.1].to_vec(),
-            }
-        } else {
-            xbar_obs::inc("sweep.recombine");
-            let span = loo[r];
-            let vals = xbar_obs::time("sweep.recombine", || {
-                install_class(
-                    &self.arena[span.0..span.1],
-                    class.bandwidth as usize,
-                    class.rho(),
-                    class.beta / class.mu,
-                    *ln_c,
-                )
-            });
-            let ray = Ray {
-                dims: member.model.dims(),
-                ln_c: *ln_c,
-                vals,
-            };
-            if !ray.vals.iter().all(|v| v.is_finite() && *v > 0.0) {
-                return Err(SolveError::Underflow(Algorithm::Alg1Scaled));
-            }
-            ray
-        };
-        SweepSolution::from_ray(model, member.algorithm, RayRepr::Scaled(ray))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::Dims;
+    use crate::solve;
     use crate::solver::SolveCache;
-    use crate::{solve, SweepSolver};
+    use xbar_traffic::{TrafficClass, Workload};
 
     fn member_model(n: u32, rho: f64) -> Model {
         let w = Workload::new()
@@ -419,53 +183,24 @@ mod tests {
     }
 
     #[test]
-    fn fleet_sweep_matches_per_model_sweep_solvers_bitwise() {
-        let models = heterogeneous_fleet();
-        let fleet = FleetSweep::new(&models, Algorithm::Auto).unwrap();
-        for (i, m) in models.iter().enumerate() {
-            let solo = SweepSolver::new(m, Algorithm::Auto).unwrap();
-            assert_eq!(fleet.algorithm(i), solo.algorithm());
-            let a = fleet.solve_base(i).unwrap();
-            let b = solo.solve_base().unwrap();
-            assert_eq!(a.blocking(0).to_bits(), b.blocking(0).to_bits());
-            // An edited point: recombination from the shared arena.
-            let edited = TrafficClass::bpp(0.09, 0.03, 1.0);
-            let a = fleet.solve_with_class(i, 1, edited.clone()).unwrap();
-            let b = solo.solve_with_class(1, edited).unwrap();
-            for r in 0..2 {
-                assert_eq!(a.blocking(r).to_bits(), b.blocking(r).to_bits());
-                assert_eq!(a.concurrency(r).to_bits(), b.concurrency(r).to_bits());
-            }
-            let a = fleet.solve_with_rho(i, 0, 0.17).unwrap();
-            let b = solo.solve_with_rho(0, 0.17).unwrap();
-            assert_eq!(a.blocking(0).to_bits(), b.blocking(0).to_bits());
-        }
-    }
-
-    #[test]
-    fn fleet_sweep_carries_ext_members() {
-        // N = 256 escalates past scaled f64 under Auto.
-        let big = Model::new(
-            Dims::square(256),
-            Workload::new().with(TrafficClass::poisson(0.4)),
-        )
-        .unwrap();
-        let small = member_model(6, 0.1);
-        let fleet = FleetSweep::new(&[small, big.clone()], Algorithm::Auto).unwrap();
-        assert_eq!(fleet.algorithm(0), Algorithm::Alg1Scaled);
-        assert_eq!(fleet.algorithm(1), Algorithm::Alg1Ext);
-        let solo = SweepSolver::new(&big, Algorithm::Auto).unwrap();
-        assert_eq!(
-            fleet.solve_base(1).unwrap().blocking(0).to_bits(),
-            solo.solve_base().unwrap().blocking(0).to_bits()
-        );
-    }
-
-    #[test]
     fn sweep_many_matches_solo_solvers_in_order() {
-        let models = heterogeneous_fleet();
+        let mut models = heterogeneous_fleet();
+        // N = 256 escalates past scaled f64 under Auto, so the batch
+        // carries an extended-range member among the scaled ones.
+        models.push(
+            Model::new(
+                Dims::square(256),
+                Workload::new().with(TrafficClass::poisson(0.4)),
+            )
+            .unwrap(),
+        );
         let many = sweep_many(&models, Algorithm::Auto);
         assert_eq!(many.len(), models.len());
+        assert_eq!(many[0].as_ref().unwrap().algorithm(), Algorithm::Alg1Scaled);
+        assert_eq!(
+            many.last().unwrap().as_ref().unwrap().algorithm(),
+            Algorithm::Alg1Ext
+        );
         for (m, got) in models.iter().zip(many) {
             let got = got.unwrap();
             let solo = SweepSolver::new(m, Algorithm::Auto).unwrap();
@@ -473,6 +208,11 @@ mod tests {
             assert_eq!(
                 got.solve_base().unwrap().blocking(0).to_bits(),
                 solo.solve_base().unwrap().blocking(0).to_bits()
+            );
+            // An edited point: one recombination on each side.
+            assert_eq!(
+                got.solve_with_rho(0, 0.17).unwrap().blocking(0).to_bits(),
+                solo.solve_with_rho(0, 0.17).unwrap().blocking(0).to_bits()
             );
         }
     }

@@ -61,11 +61,11 @@
 //!   partial convolutions on the diagonal ray, answering one-class
 //!   parameter edits in `O(C²/a)` instead of a full lattice solve, plus
 //!   exact §4 gradients.
-//! * [`simd`] — runtime-dispatched multi-lane recombination kernels for
-//!   the sweep hot loop (`strict` bit-for-bit / `fast` ≤ 1e-12 modes).
-//! * [`fleet`] — batched solves of many heterogeneous models over the
-//!   persistent worker pool, with work-stealing sharding and
-//!   structure-of-arrays ray storage.
+//! * [`simd`] — the multi-lane recombination kernel for the sweep hot
+//!   loop, bit-for-bit equal to its scalar reference.
+//! * [`fleet`] — batched anchor solves and sweep precomputes of many
+//!   heterogeneous models over the persistent worker pool, with
+//!   work-stealing sharding.
 //!
 //! # Quick example
 //!
@@ -104,11 +104,10 @@ pub mod state;
 pub mod sweep;
 pub mod transient;
 
-pub use fleet::{solve_fleet, sweep_many, FleetSweep};
+pub use fleet::{solve_fleet, sweep_many};
 pub use measures::{ClassMeasures, SwitchMeasures};
 pub use model::{Dims, Model, ModelError};
 pub use sensitivity::{sensitivity, sensitivity_from, Sensitivity};
-pub use simd::{with_kernel_mode, KernelMode};
 pub use solver::resilient::{solve_resilient, ResilientConfig, ResilientSolution, SolveReport};
 pub use solver::{solve, solve_batch, solve_cached, Algorithm, Solution, SolveCache, SolveError};
 pub use state::StateIter;

@@ -14,142 +14,16 @@
 //! one contiguous load, and one lane-wise multiply-add — a shape LLVM
 //! reliably vectorises without any nightly `std::simd` dependency.
 //!
-//! Three kernels are runtime-dispatched via [`KernelMode`]:
+//! Two kernels:
 //!
-//! * [`KernelMode::Scalar`] — the PR 5 loop, one point at a time. The
-//!   reference everything else is measured against.
-//! * [`KernelMode::Strict`] (default) — hand-unrolled 8/4-lane blocks
-//!   that keep **one accumulator per lane** and add terms in the exact
-//!   scalar `j` order with plain mul-then-add (no FMA, no
-//!   reassociation). Each lane performs literally the same arithmetic
-//!   on the same values as the scalar loop, so the result is
-//!   **bit-for-bit identical** — golden CSVs do not move.
-//! * [`KernelMode::Fast`] — same blocking, but the `j` chain is split
-//!   into two independent partial accumulators (even/odd `j`) combined
-//!   at the end. The reassociation breaks the serial add dependency for
-//!   ~2× more ILP at the cost of last-bit drift, validated ≤ 1e-12
-//!   relative by the proptest battery in `simd_proptests.rs`.
-//!
-//! Mode resolution: thread-local override ([`with_kernel_mode`]) →
-//! process-wide [`set_kernel_mode`] → `XBAR_SIMD` env (`scalar` |
-//! `strict` | `fast`) → `Strict`.
-
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
-
-/// Which recombination kernel [`combine`] dispatches to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum KernelMode {
-    /// One ray point at a time — the PR 5 reference loop.
-    Scalar = 0,
-    /// 8/4-lane blocks, bit-for-bit equal to `Scalar` (default).
-    Strict = 1,
-    /// 8/4-lane blocks with a two-way split accumulator; ≤ 1e-12
-    /// relative drift.
-    Fast = 2,
-}
-
-impl KernelMode {
-    /// Parse a mode name as accepted by `XBAR_SIMD`.
-    pub fn parse(s: &str) -> Option<KernelMode> {
-        match s.trim() {
-            "scalar" => Some(KernelMode::Scalar),
-            "strict" => Some(KernelMode::Strict),
-            "fast" => Some(KernelMode::Fast),
-            _ => None,
-        }
-    }
-
-    fn from_u8(v: u8) -> Option<KernelMode> {
-        match v {
-            0 => Some(KernelMode::Scalar),
-            1 => Some(KernelMode::Strict),
-            2 => Some(KernelMode::Fast),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for KernelMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            KernelMode::Scalar => "scalar",
-            KernelMode::Strict => "strict",
-            KernelMode::Fast => "fast",
-        })
-    }
-}
-
-/// Process-wide mode; `u8::MAX` = unset (fall through to env/default).
-static MODE: AtomicU8 = AtomicU8::new(u8::MAX);
-
-thread_local! {
-    /// Thread-local override; `u8::MAX` = no override.
-    static MODE_OVERRIDE: Cell<u8> = const { Cell::new(u8::MAX) };
-}
-
-/// `XBAR_SIMD` is read once; unknown values fall back to `Strict`.
-static ENV_MODE: OnceLock<KernelMode> = OnceLock::new();
-
-fn env_mode() -> KernelMode {
-    *ENV_MODE.get_or_init(|| {
-        std::env::var("XBAR_SIMD")
-            .ok()
-            .and_then(|v| KernelMode::parse(&v))
-            .unwrap_or(KernelMode::Strict)
-    })
-}
-
-/// Set the process-wide kernel mode (the CLI's `--simd` flag lands
-/// here).
-pub fn set_kernel_mode(mode: KernelMode) {
-    MODE.store(mode as u8, Ordering::Relaxed);
-}
-
-/// Resolve the kernel mode for this thread, per the module-level
-/// precedence.
-pub fn kernel_mode() -> KernelMode {
-    if let Some(m) = KernelMode::from_u8(MODE_OVERRIDE.with(Cell::get)) {
-        return m;
-    }
-    if let Some(m) = KernelMode::from_u8(MODE.load(Ordering::Relaxed)) {
-        return m;
-    }
-    env_mode()
-}
-
-/// Run `f` with the kernel mode pinned on this thread (restored on
-/// exit, panic included) — how tests compare kernels in isolation.
-pub fn with_kernel_mode<T>(mode: KernelMode, f: impl FnOnce() -> T) -> T {
-    struct Restore(u8);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            MODE_OVERRIDE.with(|c| c.set(self.0));
-        }
-    }
-    let _restore = MODE_OVERRIDE.with(|c| {
-        let prev = c.get();
-        c.set(mode as u8);
-        Restore(prev)
-    });
-    f()
-}
-
-// ---------------------------------------------------------------------------
-// Kernels
-// ---------------------------------------------------------------------------
-
-/// `out[d] = (seed_base ? base[d] : 0) + Σ_{j≥1} coef[j]·base[d + j·a]`
-/// for every `d`, truncated at the ray end, dispatched per
-/// [`kernel_mode`]. `coef` must cover `j = 0 ..= (len−1)/a`.
-pub fn combine(base: &[f64], coef: &[f64], a: usize, seed_base: bool) -> Vec<f64> {
-    match kernel_mode() {
-        KernelMode::Scalar => combine_scalar(base, coef, a, seed_base),
-        KernelMode::Strict => combine_strict(base, coef, a, seed_base),
-        KernelMode::Fast => combine_fast(base, coef, a, seed_base),
-    }
-}
+//! * [`combine_strict`] — the one the sweep runs: hand-unrolled 8/4-lane
+//!   blocks that keep **one accumulator per lane** and add terms in the
+//!   exact scalar `j` order with plain mul-then-add (no FMA, no
+//!   reassociation). Each lane performs literally the same arithmetic on
+//!   the same values as the scalar loop, so the result is **bit-for-bit
+//!   identical** — golden CSVs do not move.
+//! * [`combine_scalar`] — one point at a time, the reference the strict
+//!   kernel is tested against.
 
 #[inline]
 fn scalar_point(base: &[f64], coef: &[f64], a: usize, d: usize, seed_base: bool) -> f64 {
@@ -166,7 +40,7 @@ fn scalar_point(base: &[f64], coef: &[f64], a: usize, d: usize, seed_base: bool)
 }
 
 /// The reference point-at-a-time kernel (identical arithmetic to the
-/// generic `RayScalar` loop in `sweep.rs`).
+/// default [`QScalar::combine`](crate::alg1::QScalar::combine) loop).
 pub fn combine_scalar(base: &[f64], coef: &[f64], a: usize, seed_base: bool) -> Vec<f64> {
     (0..base.len())
         .map(|d| scalar_point(base, coef, a, d, seed_base))
@@ -216,8 +90,10 @@ fn block_strict<const L: usize>(
     out.copy_from_slice(&acc);
 }
 
-/// Hand-unrolled 8/4-lane kernel, bit-for-bit equal to
-/// [`combine_scalar`].
+/// `out[d] = (seed_base ? base[d] : 0) + Σ_{j≥1} coef[j]·base[d + j·a]`
+/// for every `d`, truncated at the ray end, by hand-unrolled 8/4-lane
+/// blocks, bit-for-bit equal to [`combine_scalar`]. `coef` must cover
+/// `j = 0 ..= (len−1)/a`.
 pub fn combine_strict(base: &[f64], coef: &[f64], a: usize, seed_base: bool) -> Vec<f64> {
     let len = base.len();
     let mut out = vec![0.0; len];
@@ -228,83 +104,6 @@ pub fn combine_strict(base: &[f64], coef: &[f64], a: usize, seed_base: bool) -> 
     }
     while len - d >= 4 {
         block_strict::<4>(&mut out[d..d + 4], base, coef, a, d, seed_base);
-        d += 4;
-    }
-    while d < len {
-        out[d] = scalar_point(base, coef, a, d, seed_base);
-        d += 1;
-    }
-    out
-}
-
-/// One `L`-wide block of the fast kernel: the `j` chain is split into
-/// two independent accumulators (even/odd steps) combined at the end —
-/// reassociated, so not bit-identical, but ≤ 1e-12 relative.
-#[inline]
-fn block_fast<const L: usize>(
-    out: &mut [f64],
-    base: &[f64],
-    coef: &[f64],
-    a: usize,
-    d0: usize,
-    seed_base: bool,
-) {
-    let len = base.len();
-    let mut acc0 = [0.0f64; L];
-    let mut acc1 = [0.0f64; L];
-    if seed_base {
-        acc0.copy_from_slice(&base[d0..d0 + L]);
-    }
-    let mut j = 1;
-    let mut idx = d0 + a;
-    while idx + a + L <= len {
-        let c0 = coef[j];
-        let c1 = coef[j + 1];
-        let lanes0 = &base[idx..idx + L];
-        let lanes1 = &base[idx + a..idx + a + L];
-        for l in 0..L {
-            acc0[l] += c0 * lanes0[l];
-        }
-        for l in 0..L {
-            acc1[l] += c1 * lanes1[l];
-        }
-        j += 2;
-        idx += 2 * a;
-    }
-    while idx + L <= len {
-        let c = coef[j];
-        let lanes = &base[idx..idx + L];
-        for l in 0..L {
-            acc0[l] += c * lanes[l];
-        }
-        j += 1;
-        idx += a;
-    }
-    while idx < len {
-        let c = coef[j];
-        for (l, b) in base[idx..].iter().enumerate() {
-            acc0[l] += c * b;
-        }
-        j += 1;
-        idx += a;
-    }
-    for l in 0..L {
-        out[l] = acc0[l] + acc1[l];
-    }
-}
-
-/// Hand-unrolled 8/4-lane kernel with a two-way split accumulator;
-/// fastest, within 1e-12 relative of [`combine_scalar`].
-pub fn combine_fast(base: &[f64], coef: &[f64], a: usize, seed_base: bool) -> Vec<f64> {
-    let len = base.len();
-    let mut out = vec![0.0; len];
-    let mut d = 0;
-    while len - d >= 8 {
-        block_fast::<8>(&mut out[d..d + 8], base, coef, a, d, seed_base);
-        d += 8;
-    }
-    while len - d >= 4 {
-        block_fast::<4>(&mut out[d..d + 4], base, coef, a, d, seed_base);
         d += 4;
     }
     while d < len {
@@ -339,7 +138,7 @@ mod tests {
 
     #[test]
     fn strict_is_bit_for_bit_scalar() {
-        for len in [0usize, 1, 3, 4, 5, 8, 9, 13, 16, 31, 97, 129, 257] {
+        for len in [0usize, 1, 3, 4, 5, 8, 9, 13, 16, 31, 97, 129, 257, 512, 513] {
             for a in [1usize, 2, 3, 5] {
                 let (base, coef) = fixture(len.max(1));
                 let base = &base[..len];
@@ -355,63 +154,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn fast_is_close_to_scalar() {
-        for len in [5usize, 8, 13, 64, 129, 257] {
-            for a in [1usize, 2, 3] {
-                let (base, coef) = fixture(len);
-                for seed in [true, false] {
-                    let s = combine_scalar(&base, &coef, a, seed);
-                    let v = combine_fast(&base, &coef, a, seed);
-                    for (d, (x, y)) in s.iter().zip(&v).enumerate() {
-                        let scale = x.abs().max(1e-300);
-                        assert!(
-                            ((x - y) / scale).abs() <= 1e-12,
-                            "len={len} a={a} seed={seed} d={d}: {x} vs {y}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn mode_resolution_and_override() {
-        // TLS override wins and restores, panic included.
-        let before = kernel_mode();
-        let inner = with_kernel_mode(KernelMode::Scalar, kernel_mode);
-        assert_eq!(inner, KernelMode::Scalar);
-        assert_eq!(kernel_mode(), before);
-        let result = std::panic::catch_unwind(|| {
-            with_kernel_mode(KernelMode::Fast, || panic!("boom"));
-        });
-        assert!(result.is_err());
-        assert_eq!(kernel_mode(), before);
-    }
-
-    #[test]
-    fn parses_mode_names() {
-        assert_eq!(KernelMode::parse("scalar"), Some(KernelMode::Scalar));
-        assert_eq!(KernelMode::parse(" strict "), Some(KernelMode::Strict));
-        assert_eq!(KernelMode::parse("fast"), Some(KernelMode::Fast));
-        assert_eq!(KernelMode::parse("avx512"), None);
-        for m in [KernelMode::Scalar, KernelMode::Strict, KernelMode::Fast] {
-            assert_eq!(KernelMode::parse(&m.to_string()), Some(m));
-        }
-    }
-
-    #[test]
-    fn dispatch_routes_to_the_selected_kernel() {
-        let (base, coef) = fixture(37);
-        let strict = with_kernel_mode(KernelMode::Strict, || combine(&base, &coef, 2, true));
-        let scalar = with_kernel_mode(KernelMode::Scalar, || combine(&base, &coef, 2, true));
-        assert_eq!(strict, scalar);
-        let fast = with_kernel_mode(KernelMode::Fast, || combine(&base, &coef, 2, true));
-        for (x, y) in scalar.iter().zip(&fast) {
-            assert!(((x - y) / x.abs().max(1e-300)).abs() <= 1e-12);
         }
     }
 }

@@ -34,11 +34,12 @@
 //! and a recombination costs `O(C²/a_r)` multiply-adds — this is what
 //! buys the large per-point speedup over a fresh lattice solve.
 //!
-//! Two numeric backends mirror Algorithm 1's: scaled `f64` (the §6
-//! geometric schedule, same `ln c` as `ScaledQLattice`) and
-//! [`ExtFloat`]. `Algorithm::Auto` picks scaled for small switches and
-//! escalates to extended-range if the scaled rays leave their operating
-//! envelope.
+//! Two numeric backends mirror Algorithm 1's, over the same
+//! [`QScalar`] trait: scaled `f64` (the §6 geometric schedule, same
+//! `ln c` as `ScaledQLattice`) and [`ExtFloat`]. Precomputes, point
+//! solves and gradients are one generic code path for both.
+//! `Algorithm::Auto` picks scaled for small switches and escalates to
+//! extended-range if the scaled rays leave their operating envelope.
 //!
 //! The same partials yield the §4 sensitivity gradients **exactly**:
 //! differentiating `Φ_r` term-by-term gives `∂Q/∂ρ_s` and `∂Q/∂y_s`
@@ -49,103 +50,12 @@
 use xbar_numeric::{permutation, ExtFloat};
 use xbar_traffic::{TrafficClass, Workload};
 
-use crate::alg1::QRatio;
+use crate::alg1::{scale_ln_c, QRatio, QScalar};
 use crate::measures::{
     measures, measures_at, revenue_gradient_rho_closed, shadow_cost, SwitchMeasures,
 };
 use crate::model::{Dims, Model};
 use crate::solver::{Algorithm, SolveError, AUTO_F64_MAX_N};
-
-/// Scalar abstraction for ray storage: plain (scaled) `f64` or
-/// extended-range. Mirrors `alg1::QScalar`, plus the constructors the
-/// ray builder needs.
-pub(crate) trait RayScalar: Copy + Send + Sync {
-    fn zero() -> Self;
-    fn add(self, other: Self) -> Self;
-    fn mul(self, other: Self) -> Self;
-    fn scale(self, k: f64) -> Self;
-    /// `self / other` as an `f64` (assumes the pair is in range).
-    fn ratio_to(self, other: Self) -> f64;
-    /// `e^x` as a scalar.
-    fn from_ln(x: f64) -> Self;
-    /// In-range check: scaled `f64` must stay finite and positive;
-    /// extended-range is always healthy.
-    fn healthy(self) -> bool;
-
-    /// The recombination primitive shared by [`install_class`] and
-    /// [`derivative_ray`]:
-    /// `out[d] = (seed_base ? base[d] : 0) + Σ_{j≥1} coef[j]·base[d+j·a]`,
-    /// truncated at the ray end. The default is the reference scalar
-    /// loop; `f64` overrides it with the runtime-dispatched multi-lane
-    /// kernels in [`crate::simd`].
-    fn combine(base: &[Self], coef: &[Self], a: usize, seed_base: bool) -> Vec<Self> {
-        let len = base.len();
-        let mut out = Vec::with_capacity(len);
-        for d in 0..len {
-            let mut acc = if seed_base { base[d] } else { Self::zero() };
-            let mut j = 1;
-            let mut idx = d + a;
-            while idx < len {
-                acc = acc.add(coef[j].mul(base[idx]));
-                j += 1;
-                idx += a;
-            }
-            out.push(acc);
-        }
-        out
-    }
-}
-
-impl RayScalar for f64 {
-    fn zero() -> Self {
-        0.0
-    }
-    fn add(self, other: Self) -> Self {
-        self + other
-    }
-    fn mul(self, other: Self) -> Self {
-        self * other
-    }
-    fn scale(self, k: f64) -> Self {
-        self * k
-    }
-    fn ratio_to(self, other: Self) -> f64 {
-        self / other
-    }
-    fn from_ln(x: f64) -> Self {
-        x.exp()
-    }
-    fn healthy(self) -> bool {
-        self.is_finite() && self > 0.0
-    }
-    fn combine(base: &[f64], coef: &[f64], a: usize, seed_base: bool) -> Vec<f64> {
-        crate::simd::combine(base, coef, a, seed_base)
-    }
-}
-
-impl RayScalar for ExtFloat {
-    fn zero() -> Self {
-        ExtFloat::ZERO
-    }
-    fn add(self, other: Self) -> Self {
-        self + other
-    }
-    fn mul(self, other: Self) -> Self {
-        self * other
-    }
-    fn scale(self, k: f64) -> Self {
-        self * k
-    }
-    fn ratio_to(self, other: Self) -> f64 {
-        self.ratio(other)
-    }
-    fn from_ln(x: f64) -> Self {
-        ExtFloat::exp(x)
-    }
-    fn healthy(self) -> bool {
-        true
-    }
-}
 
 /// The normalised lattice restricted to the main diagonal ray
 /// `(N1 − d, N2 − d)`, `d = 0..=C`, `C = min(N1, N2)`.
@@ -156,13 +66,13 @@ impl RayScalar for ExtFloat {
 /// extended-range backend). Ratios between ray points therefore need a
 /// `c^{2(d_num − d_den)}` correction, applied in [`QRatio::q_ratio`].
 #[derive(Clone, Debug)]
-pub(crate) struct Ray<S> {
-    pub(crate) dims: Dims,
-    pub(crate) ln_c: f64,
-    pub(crate) vals: Vec<S>,
+struct Ray<S> {
+    dims: Dims,
+    ln_c: f64,
+    vals: Vec<S>,
 }
 
-impl<S: RayScalar> Ray<S> {
+impl<S: QScalar> Ray<S> {
     /// Ray index of the lattice point `p`, panicking (like
     /// `QLattice::q`) if `p` is off the ray or outside the dims.
     fn d_of(&self, p: (i64, i64)) -> usize {
@@ -187,7 +97,7 @@ impl<S: RayScalar> Ray<S> {
     }
 }
 
-impl<S: RayScalar> QRatio for Ray<S> {
+impl<S: QScalar> QRatio for Ray<S> {
     fn dims(&self) -> Dims {
         self.dims
     }
@@ -207,7 +117,7 @@ impl<S: RayScalar> QRatio for Ray<S> {
 /// `λ_r(k) = α_r + β_r·k` factors are *not* clamped at zero — Algorithm 1
 /// analytically continues Bernoulli classes the same way, and for a valid
 /// model `j − 1 < max N ≤ S` keeps every factor non-negative in range.
-fn phi_series<S: RayScalar>(len: usize, a: usize, rho: f64, y: f64, ln_c: f64) -> Vec<S> {
+fn phi_series<S: QScalar>(len: usize, a: usize, rho: f64, y: f64, ln_c: f64) -> Vec<S> {
     let jmax = (len - 1) / a;
     let factor = (2.0 * a as f64 * ln_c).exp();
     let mut phi = Vec::with_capacity(jmax + 1);
@@ -226,18 +136,12 @@ fn phi_series<S: RayScalar>(len: usize, a: usize, rho: f64, y: f64, ln_c: f64) -
 /// *smaller* switches; indices past the ray end are outside the
 /// sub-switch and contribute zero — exact truncation, not an
 /// approximation).
-pub(crate) fn install_class<S: RayScalar>(
-    base: &[S],
-    a: usize,
-    rho: f64,
-    y: f64,
-    ln_c: f64,
-) -> Vec<S> {
+fn install_class<S: QScalar>(base: &[S], a: usize, rho: f64, y: f64, ln_c: f64) -> Vec<S> {
     let phi = phi_series::<S>(base.len(), a, rho, y, ln_c);
     S::combine(base, &phi, a, true)
 }
 
-fn install_all<S: RayScalar>(mut ray: Vec<S>, classes: &[TrafficClass], ln_c: f64) -> Vec<S> {
+fn install_all<S: QScalar>(mut ray: Vec<S>, classes: &[TrafficClass], ln_c: f64) -> Vec<S> {
     for c in classes {
         ray = install_class(&ray, c.bandwidth as usize, c.rho(), c.beta / c.mu, ln_c);
     }
@@ -246,7 +150,7 @@ fn install_all<S: RayScalar>(mut ray: Vec<S>, classes: &[TrafficClass], ln_c: f6
 
 /// The empty-workload ray: `Q_∅(n1, n2) = 1/(n1!·n2!)`, at scale
 /// `c^{n1+n2}`.
-fn empty_ray<S: RayScalar>(dims: Dims, ln_c: f64) -> Vec<S> {
+fn empty_ray<S: QScalar>(dims: Dims, ln_c: f64) -> Vec<S> {
     let c = dims.min_n() as usize;
     (0..=c)
         .map(|d| {
@@ -258,30 +162,73 @@ fn empty_ray<S: RayScalar>(dims: Dims, ln_c: f64) -> Vec<S> {
         .collect()
 }
 
-/// Leave-one-out rays for every class plus the full ray, via the
-/// prefix/suffix trick: `pre[i] = Q_{classes[..i]}`, then
-/// `loo[r] = fold(pre[r], classes[r+1..])`. `O(R²·C²)` total work, paid
-/// once per base model.
-fn build_rays<S: RayScalar>(model: &Model, ln_c: f64) -> (Vec<Vec<S>>, Vec<S>) {
-    let classes = model.workload().classes();
-    let mut pre: Vec<S> = empty_ray(model.dims(), ln_c);
-    let mut loo = Vec::with_capacity(classes.len());
-    for r in 0..classes.len() {
-        loo.push(install_all(pre.clone(), &classes[r + 1..], ln_c));
-        pre = install_all(pre, &classes[r..r + 1], ln_c);
-    }
-    (loo, pre)
+/// One backend's precompute: the full ray of the base model and its
+/// leave-one-out rays `loo[r] = Q_{-r}`.
+struct Rays<S> {
+    full: Ray<S>,
+    loo: Vec<Vec<S>>,
 }
 
-pub(crate) enum Repr {
-    Scaled {
-        full: Ray<f64>,
-        loo: Vec<Vec<f64>>,
-    },
-    Ext {
-        full: Ray<ExtFloat>,
-        loo: Vec<Vec<ExtFloat>>,
-    },
+impl<S: QScalar> Rays<S> {
+    /// Build every leave-one-out ray plus the full ray via the
+    /// prefix/suffix trick: `pre[i] = Q_{classes[..i]}`, then
+    /// `loo[r] = fold(pre[r], classes[r+1..])`. `O(R²·C²)` total work,
+    /// paid once per base model.
+    fn build(model: &Model, ln_c: f64) -> Self {
+        let classes = model.workload().classes();
+        let mut pre: Vec<S> = empty_ray(model.dims(), ln_c);
+        let mut loo = Vec::with_capacity(classes.len());
+        for r in 0..classes.len() {
+            loo.push(install_all(pre.clone(), &classes[r + 1..], ln_c));
+            pre = install_all(pre, &classes[r..r + 1], ln_c);
+        }
+        let full = Ray {
+            dims: model.dims(),
+            ln_c,
+            vals: pre,
+        };
+        Rays { full, loo }
+    }
+
+    fn is_healthy(&self) -> bool {
+        self.full.is_healthy() && self.loo.iter().all(|l| l.iter().all(|v| v.healthy()))
+    }
+
+    /// The ray of `model`, which differs from the base model at most in
+    /// class `r = edit`: the cached full ray when `edit` is `None`, else
+    /// `model`'s class `r` installed on `loo[r]` by one `O(C²/a)`
+    /// recombination. Only a scaled ray can leave its envelope.
+    fn point(&self, model: &Model, edit: Option<usize>) -> Result<Ray<S>, SolveError> {
+        let Some(r) = edit else {
+            xbar_obs::inc("sweep.reuse");
+            return Ok(self.full.clone());
+        };
+        xbar_obs::inc("sweep.recombine");
+        let class = &model.workload().classes()[r];
+        let vals = xbar_obs::time("sweep.recombine", || {
+            install_class(
+                &self.loo[r],
+                class.bandwidth as usize,
+                class.rho(),
+                class.beta / class.mu,
+                self.full.ln_c,
+            )
+        });
+        let ray = Ray {
+            dims: self.full.dims,
+            ln_c: self.full.ln_c,
+            vals,
+        };
+        if !ray.is_healthy() {
+            return Err(SolveError::Underflow(Algorithm::Alg1Scaled));
+        }
+        Ok(ray)
+    }
+}
+
+enum Repr {
+    Scaled(Rays<f64>),
+    Ext(Rays<ExtFloat>),
 }
 
 /// Precomputed per-class partial convolutions for incremental parameter
@@ -325,20 +272,12 @@ impl SweepSolver {
         };
         xbar_obs::time("sweep.precompute", || {
             if scaled_first {
-                let ln_c = ((model.dims().max_n() as f64).ln() - 1.0).max(0.0);
-                let (loo, full) = build_rays::<f64>(model, ln_c);
-                let full = Ray {
-                    dims: model.dims(),
-                    ln_c,
-                    vals: full,
-                };
-                let healthy =
-                    full.is_healthy() && loo.iter().all(|l| l.iter().all(|v| v.healthy()));
-                if healthy {
+                let rays = Rays::<f64>::build(model, scale_ln_c(model.dims()));
+                if rays.is_healthy() {
                     return Ok(Self {
                         base: model.clone(),
                         algorithm: Algorithm::Alg1Scaled,
-                        repr: Repr::Scaled { full, loo },
+                        repr: Repr::Scaled(rays),
                     });
                 }
                 if !matches!(algorithm, Algorithm::Auto) {
@@ -346,18 +285,10 @@ impl SweepSolver {
                 }
                 xbar_obs::inc("sweep.escalate");
             }
-            let (loo, full) = build_rays::<ExtFloat>(model, 0.0);
             Ok(Self {
                 base: model.clone(),
                 algorithm: Algorithm::Alg1Ext,
-                repr: Repr::Ext {
-                    full: Ray {
-                        dims: model.dims(),
-                        ln_c: 0.0,
-                        vals: full,
-                    },
-                    loo,
-                },
+                repr: Repr::Ext(Rays::build(model, 0.0)),
             })
         })
     }
@@ -367,20 +298,6 @@ impl SweepSolver {
         &self.base
     }
 
-    /// Decompose into the precomputed parts (for the fleet arena).
-    pub(crate) fn into_parts(self) -> (Model, Algorithm, Repr) {
-        (self.base, self.algorithm, self.repr)
-    }
-
-    /// Reassemble from parts produced by [`SweepSolver::into_parts`].
-    pub(crate) fn from_parts(base: Model, algorithm: Algorithm, repr: Repr) -> Self {
-        SweepSolver {
-            base,
-            algorithm,
-            repr,
-        }
-    }
-
     /// The effective backend (`Alg1Scaled` or `Alg1Ext`).
     pub fn algorithm(&self) -> Algorithm {
         self.algorithm
@@ -388,12 +305,7 @@ impl SweepSolver {
 
     /// Solve the *base* model (no edit) from the cached full ray.
     pub fn solve_base(&self) -> Result<SweepSolution, SolveError> {
-        xbar_obs::inc("sweep.reuse");
-        let ray = match &self.repr {
-            Repr::Scaled { full, .. } => RayRepr::Scaled(full.clone()),
-            Repr::Ext { full, .. } => RayRepr::Ext(full.clone()),
-        };
-        SweepSolution::from_ray(self.base.clone(), self.algorithm, ray)
+        self.solve_point(self.base.clone(), None)
     }
 
     /// Replace class `r` with `class` (any `α`, `β`, `μ`, `a_r`, weight)
@@ -444,55 +356,15 @@ impl SweepSolver {
             && class.beta == base.beta
             && class.mu == base.mu
             && class.bandwidth == base.bandwidth;
+        self.solve_point(model, (!same_lattice).then_some(r))
+    }
+
+    /// Measures of `model` from [`Rays::point`] in whichever backend the
+    /// precompute settled on.
+    fn solve_point(&self, model: Model, edit: Option<usize>) -> Result<SweepSolution, SolveError> {
         let ray = match &self.repr {
-            Repr::Scaled { full, loo } => {
-                if same_lattice {
-                    xbar_obs::inc("sweep.reuse");
-                    RayRepr::Scaled(full.clone())
-                } else {
-                    xbar_obs::inc("sweep.recombine");
-                    let vals = xbar_obs::time("sweep.recombine", || {
-                        install_class(
-                            &loo[r],
-                            class.bandwidth as usize,
-                            class.rho(),
-                            class.beta / class.mu,
-                            full.ln_c,
-                        )
-                    });
-                    let ray = Ray {
-                        dims: full.dims,
-                        ln_c: full.ln_c,
-                        vals,
-                    };
-                    if !ray.is_healthy() {
-                        return Err(SolveError::Underflow(Algorithm::Alg1Scaled));
-                    }
-                    RayRepr::Scaled(ray)
-                }
-            }
-            Repr::Ext { full, loo } => {
-                if same_lattice {
-                    xbar_obs::inc("sweep.reuse");
-                    RayRepr::Ext(full.clone())
-                } else {
-                    xbar_obs::inc("sweep.recombine");
-                    let vals = xbar_obs::time("sweep.recombine", || {
-                        install_class(
-                            &loo[r],
-                            class.bandwidth as usize,
-                            class.rho(),
-                            class.beta / class.mu,
-                            0.0,
-                        )
-                    });
-                    RayRepr::Ext(Ray {
-                        dims: full.dims,
-                        ln_c: 0.0,
-                        vals,
-                    })
-                }
-            }
+            Repr::Scaled(rays) => RayRepr::Scaled(rays.point(&model, edit)?),
+            Repr::Ext(rays) => RayRepr::Ext(rays.point(&model, edit)?),
         };
         SweepSolution::from_ray(model, self.algorithm, ray)
     }
@@ -517,8 +389,8 @@ impl SweepSolver {
     pub fn gradients(&self, s: usize) -> SweepGradients {
         xbar_obs::inc("sweep.gradients");
         match &self.repr {
-            Repr::Scaled { full, loo } => gradients_impl(&self.base, full, &loo[s], s),
-            Repr::Ext { full, loo } => gradients_impl(&self.base, full, &loo[s], s),
+            Repr::Scaled(rays) => gradients_impl(&self.base, &rays.full, &rays.loo[s], s),
+            Repr::Ext(rays) => gradients_impl(&self.base, &rays.full, &rays.loo[s], s),
         }
     }
 }
@@ -527,13 +399,7 @@ impl SweepSolver {
 /// [`phi_series`]), by the product rule down the `Φ` recurrence:
 /// `Φ'(j) = Φ'(j−1)·c_j + Φ(j−1)·∂c_j/∂θ` with
 /// `c_j = factor·(ρ + y·(j−1))/j`.
-fn dphi_series<S: RayScalar>(
-    len: usize,
-    a: usize,
-    rho: f64,
-    y: f64,
-    ln_c: f64,
-) -> (Vec<S>, Vec<S>) {
+fn dphi_series<S: QScalar>(len: usize, a: usize, rho: f64, y: f64, ln_c: f64) -> (Vec<S>, Vec<S>) {
     let jmax = (len - 1) / a;
     let factor = (2.0 * a as f64 * ln_c).exp();
     let mut phi = S::from_ln(0.0);
@@ -557,11 +423,11 @@ fn dphi_series<S: RayScalar>(
 
 /// `Σ_{j≥1} dphi[j] · base[d + j·a]` for every ray point `d` — the
 /// derivative ray, at the same implicit scale as the full ray.
-fn derivative_ray<S: RayScalar>(base: &[S], dphi: &[S], a: usize) -> Vec<S> {
+fn derivative_ray<S: QScalar>(base: &[S], dphi: &[S], a: usize) -> Vec<S> {
     S::combine(base, dphi, a, false)
 }
 
-fn gradients_impl<S: RayScalar>(
+fn gradients_impl<S: QScalar>(
     model: &Model,
     full: &Ray<S>,
     loo_s: &[S],
@@ -875,7 +741,7 @@ pub struct SweepGradients {
     pub revenue_by_beta: f64,
 }
 
-pub(crate) enum RayRepr {
+enum RayRepr {
     Scaled(Ray<f64>),
     Ext(Ray<ExtFloat>),
 }
@@ -908,11 +774,7 @@ pub struct SweepSolution {
 }
 
 impl SweepSolution {
-    pub(crate) fn from_ray(
-        model: Model,
-        algorithm: Algorithm,
-        ray: RayRepr,
-    ) -> Result<Self, SolveError> {
+    fn from_ray(model: Model, algorithm: Algorithm, ray: RayRepr) -> Result<Self, SolveError> {
         let m = measures(&model, &ray);
         m.validate().map_err(|source| {
             xbar_obs::inc("solver.reject.guard");

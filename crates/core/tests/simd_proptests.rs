@@ -1,87 +1,22 @@
-//! Property battery for the multi-lane sweep recombination kernels.
+//! Property battery for the multi-lane sweep recombination kernel.
 //!
-//! The contract under test: `strict` mode is **bit-for-bit** equal to
-//! the scalar reference kernel (same multiply/add order per output
-//! point, only blocked across independent points), and `fast` mode
-//! (reassociated accumulation) stays within 1e-12 relative gap — at the
-//! raw kernel level for arbitrary lane remainders, and end-to-end
-//! through [`SweepSolver`] recombinations on random models across all
-//! three Algorithm-1 backends.
+//! The contract under test: the strict kernel the sweep runs is
+//! **bit-for-bit** equal to the scalar reference kernel (same
+//! multiply/add order per output point, only blocked across independent
+//! points) at every ray length up to plan-grid's `N = 512` rays, every
+//! stride and every lane remainder — so every input `install_class` and
+//! `derivative_ray` hand to it gives the scalar loop's exact bits.
 
 use proptest::prelude::*;
 
-use xbar_core::simd::{combine_fast, combine_scalar, combine_strict};
-use xbar_core::{with_kernel_mode, Algorithm, Dims, KernelMode, Model, SweepSolver};
-use xbar_numeric::guard::relative_gap;
-use xbar_traffic::{TrafficClass, Workload};
-
-/// Ray-like values spanning many magnitudes (the scaled lattice keeps
-/// entries near probability scale, but derivative rays mix signs).
-fn arb_vals(len: usize) -> impl Strategy<Value = Vec<f64>> {
-    prop::collection::vec((-1e3f64..1e3).prop_map(|v| v * 1e-3), len..=len)
-}
-
-/// A random valid traffic class for a switch with `max_n` ports.
-fn arb_class(max_n: u32) -> impl Strategy<Value = TrafficClass> {
-    let poisson =
-        (0.001f64..2.0, 0.2f64..3.0, 1u32..4, 0.01f64..2.0).prop_map(|(rho, mu, a, w)| {
-            TrafficClass::bpp(rho * mu, 0.0, mu)
-                .with_bandwidth(a)
-                .with_weight(w)
-        });
-    let pascal = (
-        0.001f64..1.5,
-        0.05f64..0.9,
-        0.5f64..2.0,
-        1u32..4,
-        0.01f64..2.0,
-    )
-        .prop_map(|(alpha, frac, mu, a, w)| {
-            TrafficClass::bpp(alpha, frac * mu, mu)
-                .with_bandwidth(a)
-                .with_weight(w)
-        });
-    let bernoulli = (1u64..6, 0.01f64..0.5, 0.5f64..2.0, 0.01f64..2.0).prop_map(
-        move |(extra, p_rate, mu, w)| {
-            let s = (max_n as u64 + extra) as f64;
-            TrafficClass::bpp(s * p_rate, -p_rate, mu).with_weight(w)
-        },
-    );
-    prop_oneof![poisson, pascal, bernoulli]
-}
-
-/// Random models whose ray length `min(N1, N2) + 1` deliberately hits
-/// every lane remainder of the 8/4-lane blocks (not just multiples).
-fn arb_model() -> impl Strategy<Value = Model> {
-    (2u32..24, 2u32..24).prop_flat_map(|(n1, n2)| {
-        let max_n = n1.max(n2);
-        prop::collection::vec(arb_class(max_n), 1..4).prop_filter_map(
-            "classes must fit switch",
-            move |classes| {
-                let min_n = n1.min(n2);
-                if classes.iter().any(|c| c.bandwidth > min_n) {
-                    return None;
-                }
-                Model::new(Dims::new(n1, n2), Workload::from_classes(classes)).ok()
-            },
-        )
-    })
-}
-
-/// Blocking per class plus revenue — the full visible surface of one
-/// recombination, as raw bits for exact comparison.
-fn measure_bits(sol: &xbar_core::SweepSolution, classes: usize) -> Vec<u64> {
-    let mut out: Vec<u64> = (0..classes).map(|r| sol.blocking(r).to_bits()).collect();
-    out.push(sol.revenue().to_bits());
-    out
-}
+use xbar_core::simd::{combine_scalar, combine_strict};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn strict_kernel_is_bit_for_bit_scalar(
-        len in 0usize..300,
+        len in 0usize..=513,
         a in 1usize..6,
         seed_base in prop::bool::ANY,
         seed in 1u64..u64::MAX,
@@ -106,89 +41,5 @@ proptest! {
                 "strict[{}] {} != scalar {} (len {}, a {})", d, s, r, len, a
             );
         }
-    }
-
-    #[test]
-    fn fast_kernel_stays_within_1e12_of_scalar(
-        base in arb_vals(257),
-        coef in arb_vals(258),
-        a in 1usize..6,
-        seed_base in prop::bool::ANY,
-        len in 0usize..257,
-    ) {
-        let fast = combine_fast(&base[..len], &coef, a, seed_base);
-        let scalar = combine_scalar(&base[..len], &coef, a, seed_base);
-        for (d, (f, r)) in fast.iter().zip(&scalar).enumerate() {
-            let gap = relative_gap(*f, *r);
-            prop_assert!(
-                gap <= 1e-12,
-                "fast[{}] {} vs scalar {} gap {} (len {}, a {})", d, f, r, gap, len, a
-            );
-        }
-    }
-
-    #[test]
-    fn strict_recombination_matches_scalar_across_backends(
-        model in arb_model(),
-        backend in prop_oneof![
-            Just(Algorithm::Alg1F64),
-            Just(Algorithm::Alg1Scaled),
-            Just(Algorithm::Alg1Ext),
-        ],
-        r_pick in 0usize..16,
-        rho in 0.001f64..2.0,
-    ) {
-        let classes = model.num_classes();
-        let r = r_pick % classes;
-        let sweep = SweepSolver::new(&model, backend).unwrap();
-        let scalar = with_kernel_mode(KernelMode::Scalar, || sweep.solve_with_rho(r, rho));
-        let strict = with_kernel_mode(KernelMode::Strict, || sweep.solve_with_rho(r, rho));
-        // Bit-for-bit extends to the health check: the strict kernel must
-        // succeed and fail on exactly the same points as scalar.
-        match (scalar, strict) {
-            (Ok(scalar), Ok(strict)) => prop_assert_eq!(
-                measure_bits(&strict, classes),
-                measure_bits(&scalar, classes),
-                "strict must be bit-for-bit scalar on {} ({})", model.dims(), backend
-            ),
-            (Err(_), Err(_)) => {}
-            (s, t) => prop_assert!(
-                false,
-                "strict and scalar disagree on solvability: {:?} vs {:?}", t.is_ok(), s.is_ok()
-            ),
-        }
-    }
-
-    #[test]
-    fn fast_recombination_stays_within_1e12_across_backends(
-        model in arb_model(),
-        backend in prop_oneof![
-            Just(Algorithm::Alg1F64),
-            Just(Algorithm::Alg1Scaled),
-            Just(Algorithm::Alg1Ext),
-        ],
-        r_pick in 0usize..16,
-        rho in 0.001f64..2.0,
-    ) {
-        let classes = model.num_classes();
-        let r = r_pick % classes;
-        let sweep = SweepSolver::new(&model, backend).unwrap();
-        let scalar = with_kernel_mode(KernelMode::Scalar, || sweep.solve_with_rho(r, rho));
-        let fast = with_kernel_mode(KernelMode::Fast, || sweep.solve_with_rho(r, rho));
-        // Near-underflow points may pass the health check in one mode and
-        // not the other (fast's reassociation can land a hair past the
-        // positivity gate); the 1e-12 claim only covers solvable points.
-        prop_assume!(scalar.is_ok() && fast.is_ok());
-        let (scalar, fast) = (scalar.unwrap(), fast.unwrap());
-        for c in 0..classes {
-            let gap = relative_gap(fast.blocking(c), scalar.blocking(c));
-            prop_assert!(
-                gap <= 1e-12,
-                "fast blocking({}) {} vs {} gap {} on {} ({})",
-                c, fast.blocking(c), scalar.blocking(c), gap, model.dims(), backend
-            );
-        }
-        let gap = relative_gap(fast.revenue(), scalar.revenue());
-        prop_assert!(gap <= 1e-12, "fast revenue gap {}", gap);
     }
 }

@@ -8,7 +8,7 @@
 //! bound; smooth traffic lies below it, by ≈0.1% of the blocking at
 //! `N = 128` for the strongest smoothing.
 
-use xbar_core::{solve, Algorithm, Dims, FleetSweep, Model};
+use xbar_core::{solve, sweep_many, Algorithm, Dims, Model, SweepSolver};
 use xbar_traffic::{TildeClass, Workload};
 
 use crate::Table;
@@ -50,25 +50,27 @@ pub fn blocking_at(n: u32, beta_tilde: f64) -> f64 {
 
 /// All points: every `N ∈ 1..=128` for each `β̃`. The four series share
 /// everything but class 0's smoothing, so the whole figure is one
-/// [`FleetSweep`] precompute (every size solved as one batch, sharded
+/// [`sweep_many`] precompute (every size built as one batch, sharded
 /// over the worker pool) plus four `O(N)` recombinations per size (the
 /// `β̃ = 0` base reuses the cached ray outright) instead of four full
 /// lattice solves per size; the recombinations fan out over
-/// [`crate::par_map`]. Matches the per-size [`xbar_core::SweepSolver`]
-/// path bit for bit.
+/// [`crate::par_map`].
 pub fn rows() -> Vec<Row> {
     xbar_obs::time("fig1.rows", || {
         let per_n: Vec<Vec<f64>> = xbar_obs::time("solve", || {
             let models: Vec<Model> = (1..=MAX_N).map(|n| model_at(n, 0.0)).collect();
-            let fleet = FleetSweep::new(&models, Algorithm::Auto).expect("solvable");
+            let solvers: Vec<SweepSolver> = sweep_many(&models, Algorithm::Auto)
+                .into_iter()
+                .collect::<Result<_, _>>()
+                .expect("solvable");
             crate::par_map((1..=MAX_N).collect(), |n| {
                 let i = (n - 1) as usize;
                 BETA_TILDES
                     .iter()
                     .map(|&b| {
                         let class = model_at(n, b).workload().classes()[0].clone();
-                        fleet
-                            .solve_with_class(i, 0, class)
+                        solvers[i]
+                            .solve_with_class(0, class)
                             .expect("solvable")
                             .blocking(0)
                     })

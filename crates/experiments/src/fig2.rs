@@ -15,7 +15,7 @@
 //!   "peaky traffic" stays peaky at every size and the dramatic impact the
 //!   paper describes is fully visible.
 
-use xbar_core::{solve, Algorithm, Dims, FleetSweep, Model};
+use xbar_core::{solve, sweep_many, Algorithm, Dims, Model, SweepSolver};
 use xbar_traffic::{TildeClass, TrafficClass, Workload};
 
 use crate::fig1::ALPHA_TILDE;
@@ -82,23 +82,25 @@ pub fn blocking_fixed_z(n: u32, z: f64) -> f64 {
 
 /// All points of both series, every `N ∈ 1..=128`. All seven curves at
 /// one size share everything but class 0's BPP parameters, so the whole
-/// figure is one [`FleetSweep`] precompute (every size solved as one
+/// figure is one [`sweep_many`] precompute (every size built as one
 /// batch, sharded over the worker pool) plus seven `O(N)` recombinations
 /// per size (the Poisson baseline reuses the cached ray) instead of
 /// seven full lattice solves per size; the recombinations fan out over
-/// [`crate::par_map`]. Matches the per-size [`xbar_core::SweepSolver`]
-/// path bit for bit.
+/// [`crate::par_map`].
 pub fn rows() -> Vec<Row> {
     xbar_obs::time("fig2.rows", || {
         let per_n: Vec<Vec<f64>> = xbar_obs::time("solve", || {
             let models: Vec<Model> = (1..=MAX_N).map(|n| model_fixed_beta(n, 0.0)).collect();
-            let fleet = FleetSweep::new(&models, Algorithm::Auto).expect("solvable");
+            let solvers: Vec<SweepSolver> = sweep_many(&models, Algorithm::Auto)
+                .into_iter()
+                .collect::<Result<_, _>>()
+                .expect("solvable");
             crate::par_map((1..=MAX_N).collect(), |n| {
                 let i = (n - 1) as usize;
                 let solve_class = |m: Model| {
                     let class = m.workload().classes()[0].clone();
-                    fleet
-                        .solve_with_class(i, 0, class)
+                    solvers[i]
+                        .solve_with_class(0, class)
                         .expect("solvable")
                         .blocking(0)
                 };

