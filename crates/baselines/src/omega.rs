@@ -23,6 +23,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::erlang::erlang_b;
+use xbar_sim::events::Calendar;
 use xbar_sim::{BatchMeans, Estimate, ServiceDist};
 
 /// Compute the unique Omega-network path of `(input → output)` as the
@@ -100,92 +101,62 @@ impl OmegaSim {
         let mut busy_in = vec![false; n];
         let mut busy_out = vec![false; n];
 
-        // Simple time-ordered departure list via a binary heap on (time, id).
-        let mut cal = std::collections::BinaryHeap::new();
-        #[derive(PartialEq)]
-        struct Dep(f64, u64);
-        impl Eq for Dep {}
-        impl PartialOrd for Dep {
-            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-        impl Ord for Dep {
-            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-                // Departure times are finite; total_cmp keeps Ord total.
-                other.0.total_cmp(&self.0).then(other.1.cmp(&self.1))
-            }
-        }
-        // Connection id → (input, output, per-stage links held).
+        // A departure carries the ports and per-stage links it releases.
         type LiveConn = (usize, usize, Vec<(u32, u32)>);
-        let mut live: std::collections::HashMap<u64, LiveConn> = std::collections::HashMap::new();
-        let mut next_id = 0u64;
-        let mut now = 0.0f64;
-        let end = warmup + duration;
+        let mut cal: Calendar<Option<LiveConn>> = Calendar::new();
         let batch_len = duration / batches as f64;
         let mut b_off = vec![0u64; batches];
         let mut b_blk = vec![0u64; batches];
         let mut b_xblk = vec![0u64; batches];
 
-        loop {
-            let t_arr = now + xbar_sim::service::sample_exp(&mut self.rng, 1.0 / total_rate);
-            let t_dep = cal.peek().map(|d: &Dep| d.0).unwrap_or(f64::INFINITY);
-            let t_next = t_arr.min(t_dep);
-            if t_next >= end {
-                break;
-            }
-            now = t_next;
-            if t_dep <= t_arr {
-                let Dep(_, id) = cal.pop().unwrap();
-                let (i, o, path) = live.remove(&id).unwrap();
+        let end = warmup + duration;
+        while let Some(fired) = cal.step(
+            &mut self.rng,
+            end,
+            (total_rate, None),
+            (0.0, None),
+            |_, _| {},
+        ) {
+            if let Some((i, o, path)) = fired {
                 busy_in[i] = false;
                 busy_out[o] = false;
                 for (s, l) in path {
                     busy_link[s as usize][l as usize] = false;
                 }
-            } else {
-                let input = self.rng.gen_range(0..n);
-                let output = self.rng.gen_range(0..n);
-                let path = omega_path(stages, input as u32, output as u32);
-                let ends_free = !busy_in[input] && !busy_out[output];
-                let links_free = path
-                    .iter()
-                    .all(|&(s, l)| !busy_link[s as usize][l as usize]);
-                let accepted = ends_free && links_free;
-                if now >= warmup {
-                    let b = (((now - warmup) / batch_len) as usize).min(batches - 1);
-                    b_off[b] += 1;
-                    if !accepted {
-                        b_blk[b] += 1;
-                    }
-                    if !ends_free {
-                        b_xblk[b] += 1;
-                    }
+                continue;
+            }
+            let now = cal.now();
+            let input = self.rng.gen_range(0..n);
+            let output = self.rng.gen_range(0..n);
+            let path = omega_path(stages, input as u32, output as u32);
+            let ends_free = !busy_in[input] && !busy_out[output];
+            let links_free = path
+                .iter()
+                .all(|&(s, l)| !busy_link[s as usize][l as usize]);
+            let accepted = ends_free && links_free;
+            if now >= warmup {
+                let b = (((now - warmup) / batch_len) as usize).min(batches - 1);
+                b_off[b] += 1;
+                if !accepted {
+                    b_blk[b] += 1;
                 }
-                if accepted {
-                    busy_in[input] = true;
-                    busy_out[output] = true;
-                    for &(s, l) in &path {
-                        busy_link[s as usize][l as usize] = true;
-                    }
-                    let id = next_id;
-                    next_id += 1;
-                    let hold = self.cfg.service.sample(&mut self.rng);
-                    live.insert(id, (input, output, path));
-                    cal.push(Dep(now + hold, id));
+                if !ends_free {
+                    b_xblk[b] += 1;
                 }
+            }
+            if accepted {
+                busy_in[input] = true;
+                busy_out[output] = true;
+                for &(s, l) in &path {
+                    busy_link[s as usize][l as usize] = true;
+                }
+                let hold = self.cfg.service.sample(&mut self.rng);
+                cal.schedule(hold, Some((input, output, path)));
             }
         }
 
         let ratio = |blk: &[u64], off: &[u64]| {
-            BatchMeans::from_batches(
-                blk.iter()
-                    .zip(off)
-                    .filter(|(_, &o)| o > 0)
-                    .map(|(&b, &o)| b as f64 / o as f64)
-                    .collect(),
-            )
-            .estimate()
+            BatchMeans::from_ratios(blk.iter().copied().zip(off.iter().copied())).estimate()
         };
         OmegaReport {
             blocking: ratio(&b_blk, &b_off),

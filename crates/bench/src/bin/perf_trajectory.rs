@@ -18,13 +18,11 @@
 //! replaces — the online-repricing claim is that the former is ≥10×
 //! cheaper at N = 512; since PR 9 it times the capacity planner's
 //! exhaustive design-space search (`plan/candidates-per-sec`, every
-//! candidate scored through the shared fleet-warmed `SweepGrid`); since
-//! PR 10 it times the zero-rebuild simulator hot loop against the legacy
+//! candidate scored through the shared fleet-warmed `SweepGrid`); and it
+//! times the zero-rebuild replay hot loop against the legacy
 //! rebuild-every-event loop on a 12-class fixture
-//! (`sim/events-per-sec/*`, the ≥2× acceptance claim) and the parallel
-//! replication harness fanning 8 independent replications over the
-//! worker pool (`sim/replications-per-sec/*/t{1,4}` — flat on a 1-core
-//! host, which `host_threads` records honestly).
+//! (`sim/events-per-sec-scalar/12classes`). Replicated-simulation
+//! throughput is measured by the perfbench `sim-ci` workload instead.
 //!
 //! `--fleet-only` skips everything but the fleet records — the CI
 //! artifact leg uses it to publish `BENCH_10.json` without paying for
@@ -52,7 +50,7 @@ use xbar_core::sensitivity::{sensitivity, sensitivity_fd};
 use xbar_core::{solve, Algorithm, Dims, Model, SolveCache, SweepSolver};
 use xbar_numeric::ExtFloat;
 use xbar_sim::replay::replay_legacy;
-use xbar_sim::{replay, run_replications, Confidence, RepConfig, ReplayConfig};
+use xbar_sim::{replay, ReplayConfig};
 use xbar_traffic::{TrafficClass, Workload};
 
 /// Median wall-clock ns of `runs` invocations of `f`.
@@ -123,103 +121,44 @@ fn time_admission_replay(name: &str, policy: PolicySpec, runs: usize) -> BenchRe
     }
 }
 
-/// Time the simulator hot loop both ways (PR 10's headline number): the
-/// incremental [`xbar_sim::RateTable`] replay loop against the legacy
-/// rebuild-every-event loop it replaced.
-///
-/// Two regimes, two record pairs:
-///
-/// * `sim/events-per-sec/64classes` — 128 rate slots, so the table's
-///   `O(log R)` segment-tree path carries totals and selection. This is
-///   the headline pair the ≥2× acceptance claim is measured on. Above
-///   the tree gate the decision streams are statistically equivalent but
-///   not bit-identical to the legacy loop (see `crates/sim/src/rates.rs`).
-/// * `sim/events-per-sec-scalar/12classes` — below the gate the table
-///   re-sums in the legacy fold order and keeps the legacy selection
-///   scan, so the streams are *bit-identical* (pinned by goldens and the
-///   proptest battery) and the win is only the avoided per-event
-///   birth-rate rebuilds (~1.5–2×: the shared RNG + admission-engine
-///   cost bounds it).
+/// Time the replay hot loop both ways on the 12-class fixture: the
+/// incremental [`xbar_sim::RateTable`] loop against the legacy
+/// rebuild-every-event loop it replaced. The table re-sums in the legacy
+/// fold order and keeps the legacy selection scan, so the streams are
+/// bit-identical (pinned by goldens and the proptest battery) and the win
+/// is only the avoided per-event birth-rate rebuilds.
 ///
 /// `events_per_sec = 1e9 * EVENTS / median_ns`.
 fn time_sim_hot_loop(runs: usize) -> Vec<BenchRecord> {
     const EVENTS: u64 = 100_000;
-    let mut out = Vec::new();
-    for (prefix, r) in [
-        ("sim/events-per-sec", 64u32),
-        ("sim/events-per-sec-scalar", 12),
-    ] {
-        let model = replay_hot_model(r);
-        let cfg = ReplayConfig {
-            events: EVENTS,
-            seed: 7,
-            batches: 20,
-            engine: EngineConfig::default(),
-        };
-        let incremental = median_ns(runs, || {
-            std::hint::black_box(replay(&model, &cfg).expect("replay succeeds").events);
-        });
-        let legacy = median_ns(runs, || {
-            std::hint::black_box(replay_legacy(&model, &cfg).expect("replay succeeds").events);
-        });
-        let speedup = legacy as f64 / incremental as f64;
-        println!(
-            "  sim-hot-loop R={r:<4} threads=1  incremental {incremental} ns vs legacy {legacy} ns \
-             ({speedup:.1}x, {:.0} events/s)",
-            1e9 * EVENTS as f64 / incremental as f64
-        );
-        let record = |backend: &str, median_ns: u64| BenchRecord {
-            name: format!("{prefix}/{r}classes/t1/{backend}"),
-            n: 16,
-            backend: backend.to_string(),
-            threads: 1,
-            median_ns,
-        };
-        out.push(record("incremental", incremental));
-        out.push(record("legacy", legacy));
-    }
-    out
-}
-
-/// Time the parallel replication harness (PR 10): 8 independent
-/// replications of a 25k-event replay fanned over the worker pool and
-/// merged. `replications_per_sec = 1e9 * 8 / median_ns`. On a multi-core
-/// host t4 should scale near-linearly over t1; on a 1-core host the two
-/// records are flat and `host_threads` in the report says why.
-fn time_sim_replications(threads: usize, runs: usize) -> BenchRecord {
-    const REPS: u64 = 8;
-    let model = replay_hot_model(8);
+    const CLASSES: u32 = 12;
+    let model = replay_hot_model(CLASSES);
     let cfg = ReplayConfig {
-        events: 25_000,
-        seed: 0, // overridden per replication by the harness
+        events: EVENTS,
+        seed: 7,
         batches: 20,
         engine: EngineConfig::default(),
     };
-    let rep_cfg = RepConfig {
-        replications: REPS,
-        master_seed: 7,
-        confidence: Confidence::P99,
-    };
-    parallel::set_threads(threads);
-    let median = median_ns(runs, || {
-        std::hint::black_box(
-            run_replications(&model, &cfg, &rep_cfg)
-                .expect("replications run")
-                .events,
-        );
+    let incremental = median_ns(runs, || {
+        std::hint::black_box(replay(&model, &cfg).expect("replay succeeds").events);
     });
-    let reps_per_sec = 1e9 * REPS as f64 / median as f64;
+    let legacy = median_ns(runs, || {
+        std::hint::black_box(replay_legacy(&model, &cfg).expect("replay succeeds").events);
+    });
+    let speedup = legacy as f64 / incremental as f64;
     println!(
-        "  sim-reps     reps={REPS:<4} threads={threads:<2} median {median} ns \
-         ({reps_per_sec:.1} replications/s)"
+        "  sim-hot-loop R={CLASSES:<4} threads=1  incremental {incremental} ns vs legacy {legacy} ns \
+         ({speedup:.1}x, {:.0} events/s)",
+        1e9 * EVENTS as f64 / incremental as f64
     );
-    BenchRecord {
-        name: format!("sim/replications-per-sec/{REPS}reps/t{threads}"),
+    let record = |backend: &str, median_ns: u64| BenchRecord {
+        name: format!("sim/events-per-sec-scalar/{CLASSES}classes/t1/{backend}"),
         n: 16,
-        backend: "harness".to_string(),
-        threads,
-        median_ns: median,
-    }
+        backend: backend.to_string(),
+        threads: 1,
+        median_ns,
+    };
+    vec![record("incremental", incremental), record("legacy", legacy)]
 }
 
 /// Time one fig2-style sweep point on the `R = 4` fixture at size `n`,
@@ -574,13 +513,8 @@ fn main() {
             15,
         ));
 
-        // PR 10: the zero-rebuild hot loop vs the legacy loop, and the
-        // replication harness at both ends of the thread matrix.
+        // The zero-rebuild replay hot loop vs the legacy loop.
         records.extend(time_sim_hot_loop(9));
-        for &threads in &[1usize, 4] {
-            records.push(time_sim_replications(threads, 5));
-        }
-        parallel::set_threads(0);
 
         // PR 6: the serve daemon's durable multi-tenant ingest path.
         records.push(time_serve_ingest(100, 5));

@@ -165,13 +165,9 @@ pub fn fleet_member_model(i: usize) -> Model {
 }
 
 /// The replay hot-loop fixture: `r` traffic classes (alternating
-/// Poisson / Pascal, bandwidths 1 and 2) on a 16×16 switch. The PR 10
-/// `sim/events-per-sec` trajectory records are measured on this at
-/// `r = 64` — 128 rate slots, the smallest count where the
-/// [`RateTable`]'s `O(log R)` segment-tree path engages — and, as a
-/// supplementary scalar-regime record, at `r = 12`, where the table
-/// stays on the bit-identical legacy fold and the win is only the
-/// avoided per-event birth-rate rebuilds.
+/// Poisson / Pascal, bandwidths 1 and 2) on a 16×16 switch. The
+/// `sim/events-per-sec-scalar` trajectory records time the
+/// [`RateTable`] replay loop against `replay_legacy` on it at `r = 12`.
 ///
 /// [`RateTable`]: ../xbar_sim/rates/struct.RateTable.html
 pub fn replay_hot_model(r: u32) -> Model {

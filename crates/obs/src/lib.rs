@@ -781,8 +781,17 @@ impl Snapshot {
 mod tests {
     use super::*;
 
+    /// Serialises the tests that flip the process-wide switch or read the
+    /// global registry: tests run on parallel threads, and a sibling's
+    /// `set_global_enabled(true)` would route a "disabled" recording there.
+    fn global_lock() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
     #[test]
     fn disabled_recording_is_a_no_op() {
+        let _global = global_lock();
         // No scope, global off: nothing lands anywhere.
         assert!(!enabled());
         add("nope", 5);
@@ -794,6 +803,7 @@ mod tests {
 
     #[test]
     fn scoped_recording_lands_in_the_scope_only() {
+        let _global = global_lock();
         let reg = Arc::new(Registry::new());
         {
             let _g = scope(&reg);
@@ -811,6 +821,7 @@ mod tests {
 
     #[test]
     fn gauges_are_last_writer_wins_and_merge_by_max() {
+        let _global = global_lock();
         let reg = Arc::new(Registry::new());
         {
             let _g = scope(&reg);
@@ -1006,8 +1017,7 @@ mod tests {
 
     #[test]
     fn global_switch_routes_to_global_registry() {
-        // Serialise against other tests touching the global switch by
-        // using a uniquely-named counter and toggling briefly.
+        let _global = global_lock();
         set_global_enabled(true);
         inc("test.global_switch.unique");
         set_global_enabled(false);

@@ -9,10 +9,10 @@ use rand::{Rng, SeedableRng};
 use xbar_numeric::permutation;
 use xbar_traffic::{TrafficClass, TrafficError};
 
-use crate::events::{Calendar, EventKind};
+use crate::events::Calendar;
 use crate::faults::{FaultConfig, FaultLayer, FaultReport, Side};
 use crate::rates::RateTable;
-use crate::service::{sample_exp, ServiceDist};
+use crate::service::ServiceDist;
 use crate::stats::{BatchMeans, Confidence, Estimate};
 
 /// Static simulation configuration: switch geometry plus one
@@ -212,6 +212,14 @@ struct LiveConn {
     outputs: Vec<u32>,
 }
 
+/// What fires in the event loop: the arrival and port-fault clocks, or a
+/// scheduled departure keyed by its connection id.
+enum Ev {
+    Arrival,
+    Fault,
+    Departure(u64),
+}
+
 /// Per-class batch accumulators.
 #[derive(Clone, Default)]
 struct ClassBatch {
@@ -222,11 +230,41 @@ struct ClassBatch {
     avail_time: f64, // ∫ P(tuple idle ∧ working) dt
 }
 
+/// Draw `count` distinct indices in `0..busy.len()`, reporting whether all
+/// were idle in `busy` and whether all were working per `failed`. The
+/// drawing consumes the same RNG stream regardless of port state.
+pub(crate) fn draw_ports(
+    rng: &mut StdRng,
+    busy: &[bool],
+    failed: &[bool],
+    count: u32,
+) -> (Vec<u32>, bool, bool) {
+    let n = busy.len();
+    // Rejection of repeats: for the small port counts here that is
+    // cheaper than fancier sampling.
+    let mut picked = Vec::with_capacity(count as usize);
+    let mut all_free = true;
+    let mut all_working = true;
+    while picked.len() < count as usize {
+        let cand = rng.gen_range(0..n) as u32;
+        if picked.contains(&cand) {
+            continue;
+        }
+        if busy[cand as usize] {
+            all_free = false;
+        }
+        if failed[cand as usize] {
+            all_working = false;
+        }
+        picked.push(cand);
+    }
+    (picked, all_free, all_working)
+}
+
 /// The simulator.
 pub struct CrossbarSim {
     cfg: SimConfig,
     rng: StdRng,
-    now: f64,
     busy_in: Vec<bool>,
     busy_out: Vec<bool>,
     /// Total busy inputs (= busy outputs, since every connection takes
@@ -235,7 +273,7 @@ pub struct CrossbarSim {
     k: Vec<u64>,
     live: HashMap<u64, LiveConn>,
     next_conn: u64,
-    cal: Calendar,
+    cal: Calendar<Ev>,
     /// `P(N1,a_r)·P(N2,a_r)` per class: the ordered-tuple count the
     /// aggregate arrival rate is proportional to (see crate docs).
     tuple_count: Vec<f64>,
@@ -327,7 +365,6 @@ impl CrossbarSim {
             next_conn: 0,
             cal: Calendar::new(),
             rng: StdRng::seed_from_u64(seed),
-            now: 0.0,
             tuple_count,
             faults: FaultLayer::new(cfg.faults.clone(), cfg.n1, cfg.n2),
             torn_down: 0,
@@ -335,11 +372,6 @@ impl CrossbarSim {
             avail: vec![0.0; r],
             cfg,
         })
-    }
-
-    /// Current per-class connection counts (diagnostic).
-    pub fn state(&self) -> &[u64] {
-        &self.k
     }
 
     /// Aggregate arrival rate of class `r` in the current state.
@@ -358,37 +390,6 @@ impl CrossbarSim {
         permutation(free1, a) * permutation(free2, a) / self.tuple_count[r]
     }
 
-    /// Draw `count` distinct indices in `0..n`, reporting whether all were
-    /// idle in `busy` and whether all were working per `failed`. The
-    /// drawing consumes the same RNG stream regardless of fault state.
-    fn draw_ports(
-        rng: &mut StdRng,
-        busy: &[bool],
-        failed: &[bool],
-        count: u32,
-    ) -> (Vec<u32>, bool, bool) {
-        let n = busy.len();
-        // Partial Fisher–Yates over a scratch index list is O(n); for the
-        // small port counts here that is cheaper than fancier sampling.
-        let mut picked = Vec::with_capacity(count as usize);
-        let mut all_free = true;
-        let mut all_working = true;
-        while picked.len() < count as usize {
-            let cand = rng.gen_range(0..n) as u32;
-            if picked.contains(&cand) {
-                continue;
-            }
-            if busy[cand as usize] {
-                all_free = false;
-            }
-            if failed[cand as usize] {
-                all_working = false;
-            }
-            picked.push(cand);
-        }
-        (picked, all_free, all_working)
-    }
-
     /// Run for `run.warmup + run.duration` sim-time and report measures
     /// over the measurement window.
     pub fn run(&mut self, run: RunConfig) -> SimReport {
@@ -397,15 +398,14 @@ impl CrossbarSim {
         let r_count = self.cfg.classes.len();
 
         // Warmup: advance without recording.
-        let warmup_end = self.now + run.warmup;
+        let warmup_end = self.cal.now() + run.warmup;
         self.advance_until(warmup_end, &mut |_| {});
 
-        let t0 = self.now;
+        let t0 = self.cal.now();
         let batch_len = run.duration / run.batches as f64;
         let mut batches: Vec<Vec<ClassBatch>> =
             vec![vec![ClassBatch::default(); r_count]; run.batches];
         let mut occupancy_time = vec![0.0f64; self.cfg.n1.min(self.cfg.n2) as usize + 1];
-        let mut events = 0u64;
         // Fault accounting: window-only deltas via snapshots, plus
         // time-integrals of the failed-port counts.
         let failures0 = self.faults.failures;
@@ -420,7 +420,7 @@ impl CrossbarSim {
         let end = t0 + run.duration;
         let batch_of = |t: f64| -> usize { (((t - t0) / batch_len) as usize).min(run.batches - 1) };
 
-        self.advance_until(end, &mut |rec: Record| match rec {
+        let events = self.advance_until(end, &mut |rec: Record| match rec {
             Record::Elapse {
                 from,
                 to,
@@ -461,7 +461,6 @@ impl CrossbarSim {
                     batches[b][class].fault_blocked += 1;
                 }
             }
-            Record::Event => events += 1,
         });
 
         // Aggregate.
@@ -469,28 +468,16 @@ impl CrossbarSim {
         let mut revenue = 0.0;
         let mut fault_blocked_total = 0u64;
         for r in 0..r_count {
-            let mut offered = 0u64;
-            let mut blocked = 0u64;
-            let mut fault_blocked = 0u64;
-            let mut blocking_batches = Vec::new();
-            let mut viable_batches = Vec::new();
-            let mut conc_batches = Vec::new();
-            let mut avail_batches = Vec::new();
-            for b in batches.iter() {
-                let cb = &b[r];
-                offered += cb.offered;
-                blocked += cb.blocked;
-                fault_blocked += cb.fault_blocked;
-                if cb.offered > 0 {
-                    blocking_batches.push(cb.blocked as f64 / cb.offered as f64);
-                }
-                let viable = cb.offered - cb.fault_blocked;
-                if viable > 0 {
-                    viable_batches.push((cb.blocked - cb.fault_blocked) as f64 / viable as f64);
-                }
-                conc_batches.push(cb.k_time / batch_len);
-                avail_batches.push(cb.avail_time / batch_len);
-            }
+            let cbs = || batches.iter().map(|b| &b[r]);
+            let offered: u64 = cbs().map(|cb| cb.offered).sum();
+            let blocked: u64 = cbs().map(|cb| cb.blocked).sum();
+            let fault_blocked: u64 = cbs().map(|cb| cb.fault_blocked).sum();
+            let blocking = BatchMeans::from_ratios(cbs().map(|cb| (cb.blocked, cb.offered)));
+            let viable = BatchMeans::from_ratios(
+                cbs().map(|cb| (cb.blocked - cb.fault_blocked, cb.offered - cb.fault_blocked)),
+            );
+            let conc_batches = cbs().map(|cb| cb.k_time / batch_len).collect();
+            let avail_batches = cbs().map(|cb| cb.avail_time / batch_len).collect();
             fault_blocked_total += fault_blocked;
             let concurrency = BatchMeans::from_batches(conc_batches).estimate();
             revenue += self.cfg.classes[r].0.weight * concurrency.mean;
@@ -499,11 +486,9 @@ impl CrossbarSim {
                 accepted: offered - blocked,
                 blocked,
                 fault_blocked,
-                blocking: BatchMeans::from_batches(blocking_batches.clone())
-                    .estimate_at(Confidence::P95),
-                blocking_99: BatchMeans::from_batches(blocking_batches)
-                    .estimate_at(Confidence::P99),
-                viable_blocking: BatchMeans::from_batches(viable_batches).estimate(),
+                blocking: blocking.estimate_at(Confidence::P95),
+                blocking_99: blocking.estimate_at(Confidence::P99),
+                viable_blocking: viable.estimate(),
                 concurrency,
                 availability: BatchMeans::from_batches(avail_batches).estimate(),
             });
@@ -551,9 +536,7 @@ impl CrossbarSim {
     /// Tear down the (at most one — ports are held exclusively) live
     /// circuit occupying the just-failed port. Its scheduled departure
     /// stays in the calendar as a stale entry the event loop skips.
-    /// Returns the torn-down circuit's class so the caller can refresh
-    /// that class's resident arrival rate.
-    fn tear_down_port(&mut self, side: Side, port: u32) -> Option<usize> {
+    fn tear_down_port(&mut self, side: Side, port: u32) {
         let victim = self.live.iter().find_map(|(&id, conn)| {
             let ports = match side {
                 Side::Input => &conn.inputs,
@@ -561,19 +544,25 @@ impl CrossbarSim {
             };
             ports.contains(&port).then_some(id)
         });
-        victim.map(|id| {
-            let conn = self.live.remove(&id).expect("id came from live");
-            for &i in &conn.inputs {
-                self.busy_in[i as usize] = false;
-            }
-            for &o in &conn.outputs {
-                self.busy_out[o as usize] = false;
-            }
-            self.occupancy -= self.cfg.classes[conn.class].0.bandwidth;
-            self.k[conn.class] -= 1;
+        if let Some(conn) = victim.and_then(|id| self.live.remove(&id)) {
             self.torn_down += 1;
-            conn.class
-        })
+            self.release(conn);
+        }
+    }
+
+    /// Free a finished or torn-down circuit's ports and refresh the
+    /// resident rates it moved.
+    fn release(&mut self, conn: LiveConn) {
+        for &i in &conn.inputs {
+            self.busy_in[i as usize] = false;
+        }
+        for &o in &conn.outputs {
+            self.busy_out[o as usize] = false;
+        }
+        self.occupancy -= self.cfg.classes[conn.class].0.bandwidth;
+        self.k[conn.class] -= 1;
+        self.refresh_class_rate(conn.class);
+        self.refresh_avail();
     }
 
     /// Refresh class `r`'s resident arrival rate after a `k[r]` change.
@@ -601,174 +590,132 @@ impl CrossbarSim {
         self.refresh_avail();
     }
 
-    /// Core event loop with a recording callback. Generic over the record
-    /// sink so warmup can run it with a no-op.
+    /// Core event loop with a recording callback, returning the number of
+    /// events fired. Generic over the record sink so warmup can run it
+    /// with a no-op.
     ///
     /// The loop keeps the per-class arrival rates and availabilities
     /// *resident* ([`Self::refresh_residents`]): only state-changing
     /// events (accepted arrivals, live departures, fault transitions)
     /// touch them, and the [`Record::Elapse`] snapshot borrows the
-    /// resident buffers instead of allocating per event. The total-rate
-    /// fold, the class-selection scan, and every RNG draw are unchanged,
-    /// so runs are bit-for-bit identical to the legacy rebuild loop
-    /// (pinned by the golden-stream tests).
-    fn advance_until<F>(&mut self, end: f64, record: &mut F)
+    /// resident buffers instead of allocating per event. The fault clock
+    /// is passed at rate 0 unless the dynamic fault process is on, so
+    /// fault-free runs draw exactly the fault-free stream.
+    fn advance_until<F>(&mut self, end: f64, record: &mut F) -> u64
     where
         F: for<'a> FnMut(Record<'a>),
     {
         self.refresh_residents();
+        let mut events = 0u64;
         loop {
-            // Total arrival rate in the current state (cached; re-summed
-            // in the legacy fold order only after a rate changed).
             let total_rate = self.arr_rates.total();
-
-            // Candidate next arrival (memoryless ⇒ resampling each event is
-            // distributionally exact).
-            let t_arrival = if total_rate > 0.0 {
-                self.now + sample_exp(&mut self.rng, 1.0 / total_rate)
+            let fault_rate = if self.faults.dynamic() {
+                self.faults.transition_rate()
             } else {
-                f64::INFINITY
+                0.0
             };
-            // Candidate next fault transition — same resampling argument
-            // (the fail/repair clocks are exponential too). The branch is
-            // guarded by `dynamic()` so fault-free runs consume the exact
-            // same RNG stream as before the fault layer existed.
-            let t_fault = if self.faults.dynamic() {
-                let rate = self.faults.transition_rate();
-                if rate > 0.0 {
-                    self.now + sample_exp(&mut self.rng, 1.0 / rate)
-                } else {
-                    f64::INFINITY
+            let Some(fired) = self.cal.step(
+                &mut self.rng,
+                end,
+                (total_rate, Ev::Arrival),
+                (fault_rate, Ev::Fault),
+                |from, to| {
+                    record(Record::Elapse {
+                        from,
+                        to,
+                        k: &self.k,
+                        avail: &self.avail,
+                        occ: self.occupancy,
+                        failed_in: self.faults.failed_in_count,
+                        failed_out: self.faults.failed_out_count,
+                    })
+                },
+            ) else {
+                return events;
+            };
+            events += 1;
+            match fired {
+                Ev::Fault => {
+                    let tr = self.faults.sample_transition(&mut self.rng);
+                    if tr.is_failure {
+                        self.tear_down_port(tr.side, tr.port);
+                    }
+                    // Both failures and repairs move the failed-port counts.
+                    self.refresh_avail();
                 }
-            } else {
-                f64::INFINITY
-            };
-            let t_departure = self.cal.peek_time().unwrap_or(f64::INFINITY);
-            let t_next = t_arrival.min(t_departure).min(t_fault).min(end);
-
-            // Record the elapsed interval in the *current* state. The
-            // snapshot borrows the live buffers — the recorder consumes it
-            // during the call, so no per-event clone is needed.
-            record(Record::Elapse {
-                from: self.now,
-                to: t_next,
-                k: &self.k,
-                avail: &self.avail,
-                occ: self.occupancy,
-                failed_in: self.faults.failed_in_count,
-                failed_out: self.faults.failed_out_count,
-            });
-
-            if t_next >= end {
-                self.now = end;
-                return;
-            }
-            self.now = t_next;
-            record(Record::Event);
-
-            if t_fault < t_departure && t_fault < t_arrival {
-                // Port fail/repair transition.
-                let tr = self.faults.sample_transition(&mut self.rng);
-                if tr.is_failure {
-                    if let Some(class) = self.tear_down_port(tr.side, tr.port) {
+                Ev::Departure(connection) => {
+                    // A circuit torn down by a port failure leaves its
+                    // departure behind as a stale calendar entry: skip it.
+                    if let Some(conn) = self.live.remove(&connection) {
+                        self.release(conn);
+                    }
+                }
+                Ev::Arrival => {
+                    // Pick the class proportional to its rate.
+                    let pick = self.rng.gen::<f64>() * total_rate;
+                    let class = self.arr_rates.select(pick);
+                    let a = self.cfg.classes[class].0.bandwidth;
+                    let (inputs, in_free, in_working) =
+                        draw_ports(&mut self.rng, &self.busy_in, &self.faults.failed_in, a);
+                    let (outputs, out_free, out_working) =
+                        draw_ports(&mut self.rng, &self.busy_out, &self.faults.failed_out, a);
+                    let working = in_working && out_working;
+                    let accepted = in_free && out_free && working;
+                    record(Record::Offered {
+                        class,
+                        at: self.cal.now(),
+                        blocked: !accepted,
+                        fault_blocked: !working,
+                    });
+                    if accepted {
+                        for &i in &inputs {
+                            self.busy_in[i as usize] = true;
+                        }
+                        for &o in &outputs {
+                            self.busy_out[o as usize] = true;
+                        }
+                        self.occupancy += a;
+                        self.k[class] += 1;
                         self.refresh_class_rate(class);
+                        self.refresh_avail();
+                        let id = self.next_conn;
+                        self.next_conn += 1;
+                        self.live.insert(
+                            id,
+                            LiveConn {
+                                class,
+                                inputs,
+                                outputs,
+                            },
+                        );
+                        let hold = self.cfg.classes[class].1.sample(&mut self.rng);
+                        self.cal.schedule(hold, Ev::Departure(id));
                     }
-                }
-                // Both failures and repairs move the failed-port counts.
-                self.refresh_avail();
-            } else if t_departure <= t_arrival {
-                // Departure. A circuit torn down by a port failure leaves
-                // its departure behind as a stale calendar entry — skip it.
-                let ev = self.cal.pop().expect("peeked");
-                let EventKind::Departure { class, connection } = ev.kind;
-                if let Some(conn) = self.live.remove(&connection) {
-                    debug_assert_eq!(conn.class, class);
-                    for &i in &conn.inputs {
-                        self.busy_in[i as usize] = false;
-                    }
-                    for &o in &conn.outputs {
-                        self.busy_out[o as usize] = false;
-                    }
-                    self.occupancy -= self.cfg.classes[class].0.bandwidth;
-                    self.k[class] -= 1;
-                    self.refresh_class_rate(class);
-                    self.refresh_avail();
-                }
-            } else {
-                // Arrival: pick the class proportional to its rate — the
-                // legacy subtractive scan, via the resident table.
-                let pick = self.rng.gen::<f64>() * total_rate;
-                let class = self.arr_rates.select(pick);
-                let a = self.cfg.classes[class].0.bandwidth;
-                let (inputs, in_free, in_working) =
-                    Self::draw_ports(&mut self.rng, &self.busy_in, &self.faults.failed_in, a);
-                let (outputs, out_free, out_working) =
-                    Self::draw_ports(&mut self.rng, &self.busy_out, &self.faults.failed_out, a);
-                let working = in_working && out_working;
-                let accepted = in_free && out_free && working;
-                record(Record::Offered {
-                    class,
-                    at: self.now,
-                    blocked: !accepted,
-                    fault_blocked: !working,
-                });
-                if accepted {
-                    for &i in &inputs {
-                        self.busy_in[i as usize] = true;
-                    }
-                    for &o in &outputs {
-                        self.busy_out[o as usize] = true;
-                    }
-                    self.occupancy += a;
-                    self.k[class] += 1;
-                    self.refresh_class_rate(class);
-                    self.refresh_avail();
-                    let id = self.next_conn;
-                    self.next_conn += 1;
-                    self.live.insert(
-                        id,
-                        LiveConn {
-                            class,
-                            inputs,
-                            outputs,
-                        },
-                    );
-                    let hold = self.cfg.classes[class].1.sample(&mut self.rng);
-                    self.cal.schedule(
-                        self.now + hold,
-                        EventKind::Departure {
-                            class,
-                            connection: id,
-                        },
-                    );
                 }
             }
         }
     }
 }
 
-// The Record enum must be nameable by both `run` and `advance_until`;
-// hoist it out of the method (kept private to the module).
-use record::Record;
-mod record {
-    pub(super) enum Record<'a> {
-        Elapse {
-            from: f64,
-            to: f64,
-            k: &'a [u64],
-            avail: &'a [f64],
-            occ: u32,
-            failed_in: u32,
-            failed_out: u32,
-        },
-        Offered {
-            class: usize,
-            at: f64,
-            blocked: bool,
-            fault_blocked: bool,
-        },
-        Event,
-    }
+/// What the event loop reports to the recorder of [`CrossbarSim::run`].
+enum Record<'a> {
+    /// The state held over `[from, to)`.
+    Elapse {
+        from: f64,
+        to: f64,
+        k: &'a [u64],
+        avail: &'a [f64],
+        occ: u32,
+        failed_in: u32,
+        failed_out: u32,
+    },
+    /// A class-`class` request was offered at `at`.
+    Offered {
+        class: usize,
+        at: f64,
+        blocked: bool,
+        fault_blocked: bool,
+    },
 }
 
 #[cfg(test)]

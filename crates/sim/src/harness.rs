@@ -6,8 +6,8 @@
 //! long run buys precision slowly — batch means over one autocorrelated
 //! path — and serially. This harness instead fans **N independent
 //! replications** over the persistent worker pool
-//! ([`xbar_core::parallel::run_scoped`], the PR 7 pool) and merges their
-//! statistics with a single-pass reducer.
+//! ([`xbar_core::parallel::run_scoped`]) and merges their statistics with
+//! a single-pass reducer.
 //!
 //! # Determinism
 //!
@@ -20,8 +20,8 @@
 //! smoke that diffs t1 vs t4 CLI output). Inside a pool worker each
 //! replication pins its nested parallelism to one thread
 //! ([`parallel::with_threads`]) — solver results are bit-identical across
-//! thread counts anyway (the PR 2/7 equivalence batteries), this just
-//! avoids oversubscribing the pool.
+//! thread counts anyway (the wavefront and fleet equivalence batteries),
+//! this just avoids oversubscribing the pool.
 //!
 //! # Adaptive stopping
 //!
@@ -31,6 +31,11 @@
 //! so tests stop spending events past the precision they assert. Round
 //! sizes are fixed and replication `i` is the same replication in every
 //! schedule, so adaptive runs are exactly as deterministic as fixed ones.
+//!
+//! All six `run_*` front-ends go through one loop: each simulator
+//! implements a private `Replicate` trait (run one seeded replication,
+//! merge reports, give the stopping width, count events), and a fixed
+//! count is the one-round special case of the adaptive schedule.
 //!
 //! # Observability
 //!
@@ -53,17 +58,6 @@ use crate::crossbar::{CrossbarSim, RunConfig, SimConfig, SimError, SimReport};
 use crate::replay::{replay, ReplayConfig, ReplayReport};
 use crate::retrial::{RetrialConfig, RetrialReport, RetrialSim};
 use crate::stats::{BatchMeans, Confidence, Estimate};
-
-/// One unit of harness work: its index in the replication sequence and
-/// the RNG seed derived for it.
-#[derive(Clone, Copy, Debug)]
-pub struct Replication {
-    /// Position in the replication sequence (stable across schedules).
-    pub index: u64,
-    /// `SplitMix64::stream_seed(master_seed, index)` — the seed the
-    /// replication's own generator is built from.
-    pub seed: u64,
-}
 
 /// Harness parameters shared by all three simulator front-ends.
 #[derive(Clone, Copy, Debug)]
@@ -113,36 +107,21 @@ impl CiTarget {
     }
 }
 
-/// Run `job` once per replication in `[0, replications)` and return the
-/// results in index order. See the module docs for the determinism
-/// argument.
-pub fn replicate<T, F>(replications: u64, master_seed: u64, job: F) -> Vec<T>
+/// Run `job` once per replication in `[start, start + count)`, on the
+/// seed `SplitMix64::stream_seed(master_seed, index)`, and return the
+/// results in index order. Adaptive rounds extend (never re-run) the
+/// previous rounds' replication sequence. See the module docs for the
+/// determinism argument.
+fn replicate_range<T, F>(start: u64, count: u64, master_seed: u64, job: F) -> Vec<T>
 where
     T: Send,
-    F: Fn(Replication) -> T + Sync,
-{
-    replicate_range(0, replications, master_seed, job)
-}
-
-/// [`replicate`] over indices `[start, start + count)` — the building
-/// block adaptive rounds use so round `n + 1` extends (never re-runs)
-/// round `n`'s replication sequence.
-pub fn replicate_range<T, F>(start: u64, count: u64, master_seed: u64, job: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(Replication) -> T + Sync,
+    F: Fn(u64) -> T + Sync,
 {
     let n = count as usize;
     if n == 0 {
         return Vec::new();
     }
-    let run_one = |i: usize| {
-        let index = start + i as u64;
-        job(Replication {
-            index,
-            seed: SplitMix64::stream_seed(master_seed, index),
-        })
-    };
+    let run_one = |i: usize| job(SplitMix64::stream_seed(master_seed, start + i as u64));
     let threads = parallel::effective_threads().min(n);
     if threads <= 1 {
         return (0..n).map(run_one).collect();
@@ -176,20 +155,86 @@ where
         .collect()
 }
 
-fn record_harness_obs(replications: u64, rounds: u64, events: u64) {
-    if xbar_obs::enabled() {
-        xbar_obs::inc("sim.rep.runs");
-        xbar_obs::add("sim.rep.replications", replications);
-        xbar_obs::add("sim.rep.rounds", rounds);
-        xbar_obs::add("sim.rep.events", events);
-    }
-}
-
 /// Across-replication estimate of a per-replication statistic: each
 /// replication contributes its point estimate as one "batch", merged with
 /// the same Student-t machinery the in-run batch means use.
-fn across(values: Vec<f64>, confidence: Confidence) -> Estimate {
-    BatchMeans::from_batches(values).estimate_at(confidence)
+fn across<R>(per_rep: &[R], confidence: Confidence, stat: impl Fn(&R) -> f64) -> Estimate {
+    BatchMeans::from_batches(per_rep.iter().map(stat).collect()).estimate_at(confidence)
+}
+
+/// Sum of a per-replication count.
+fn total<R>(per_rep: &[R], count: impl Fn(&R) -> u64) -> u64 {
+    per_rep.iter().map(count).sum()
+}
+
+/// One simulator front-end of the harness: what a replication runs and
+/// how replications merge.
+trait Replicate: Sync {
+    type Report: Send;
+    type Merged;
+    type Error: Send;
+    /// Run one replication on the stream seeded by `seed`.
+    fn run(&self, seed: u64) -> Result<Self::Report, Self::Error>;
+    /// Fold the reports, in replication order, into the merged outcome.
+    fn merge(per_rep: Vec<Self::Report>, rounds: u64, confidence: Confidence) -> Self::Merged;
+    /// The merged half-width an adaptive run stops on.
+    fn width(per_rep: &[Self::Report], confidence: Confidence) -> f64;
+    /// The replication's contribution to `sim.rep.events`.
+    fn events(report: &Self::Report) -> u64;
+}
+
+/// The one replication loop: `rep.replications` replications in one
+/// round, or, with a `target`, rounds of `target.initial` (at least 2,
+/// at most `target.max`) then `target.step` replications until the
+/// stopping width reaches `target.half_width` or the cap. The first
+/// error in replication order ends the run.
+fn replicate_job<J: Replicate>(
+    job: &J,
+    rep: &RepConfig,
+    target: Option<CiTarget>,
+) -> Result<J::Merged, J::Error> {
+    let mut per_rep: Vec<J::Report> = Vec::new();
+    let mut rounds = 0u64;
+    loop {
+        let done = per_rep.len() as u64;
+        let want = match target {
+            None => rep.replications,
+            Some(t) if rounds == 0 => t.initial.max(2).min(t.max),
+            Some(t) => t.step.min(t.max - done),
+        };
+        for report in replicate_range(done, want, rep.master_seed, |seed| job.run(seed)) {
+            per_rep.push(report?);
+        }
+        rounds += 1;
+        let stop = match target {
+            None => true,
+            Some(t) => {
+                J::width(&per_rep, rep.confidence) <= t.half_width || per_rep.len() as u64 >= t.max
+            }
+        };
+        if stop {
+            if xbar_obs::enabled() {
+                xbar_obs::inc("sim.rep.runs");
+                xbar_obs::add("sim.rep.replications", per_rep.len() as u64);
+                xbar_obs::add("sim.rep.rounds", rounds);
+                xbar_obs::add("sim.rep.events", total(&per_rep, J::events));
+            }
+            return Ok(J::merge(per_rep, rounds, rep.confidence));
+        }
+    }
+}
+
+/// The widest across-replication interval of the per-class statistic
+/// `stat(report, class)` over the first report's classes.
+fn widest<R>(
+    per_rep: &[R],
+    confidence: Confidence,
+    classes: impl Fn(&R) -> usize,
+    stat: impl Fn(&R, usize) -> f64,
+) -> f64 {
+    (0..per_rep.first().map_or(0, classes))
+        .map(|r| across(per_rep, confidence, |rep| stat(rep, r)).half_width)
+        .fold(0.0f64, f64::max)
 }
 
 // ---------------------------------------------------------------------------
@@ -233,56 +278,60 @@ pub struct ReplayReplications {
     pub per_rep: Vec<ReplayReport>,
 }
 
-/// Single-pass reducer over replay replication reports.
-fn merge_replay(
-    per_rep: Vec<ReplayReport>,
-    rounds: u64,
-    confidence: Confidence,
-) -> ReplayReplications {
-    let r_count = per_rep.first().map(|r| r.classes.len()).unwrap_or(0);
-    let mut events = 0u64;
-    let mut arrivals = 0u64;
-    let mut departures = 0u64;
-    let mut counts = vec![(0u64, 0u64, 0u64, 0u64); r_count];
-    let mut acceptance: Vec<Vec<f64>> = vec![Vec::with_capacity(per_rep.len()); r_count];
-    for rep in &per_rep {
-        events += rep.events;
-        arrivals += rep.arrivals;
-        departures += rep.departures;
-        for (r, c) in rep.classes.iter().enumerate() {
-            counts[r].0 += c.offered;
-            counts[r].1 += c.admitted;
-            counts[r].2 += c.denied_capacity;
-            counts[r].3 += c.denied_policy;
-            acceptance[r].push(c.acceptance.mean);
-        }
-    }
-    let classes = counts
-        .into_iter()
-        .zip(acceptance)
-        .enumerate()
-        .map(
-            |(r, ((offered, admitted, denied_capacity, denied_policy), acc))| MergedClassReplay {
-                offered,
-                admitted,
-                denied_capacity,
-                denied_policy,
-                acceptance: across(acc, confidence),
-                analytic_acceptance: per_rep
-                    .first()
-                    .map(|rep| rep.classes[r].analytic_acceptance)
-                    .unwrap_or(f64::NAN),
+/// A front-end's borrowed configuration: what one replication runs.
+struct Job<'a, A, B>(&'a A, &'a B);
+
+impl Replicate for Job<'_, Model, ReplayConfig> {
+    type Report = ReplayReport;
+    type Merged = ReplayReplications;
+    type Error = AdmissionError;
+
+    fn run(&self, seed: u64) -> Result<ReplayReport, AdmissionError> {
+        replay(
+            self.0,
+            &ReplayConfig {
+                seed,
+                ..self.1.clone()
             },
         )
-        .collect();
-    ReplayReplications {
-        replications: per_rep.len() as u64,
-        rounds,
-        events,
-        arrivals,
-        departures,
-        classes,
-        per_rep,
+    }
+
+    fn merge(
+        per_rep: Vec<ReplayReport>,
+        rounds: u64,
+        confidence: Confidence,
+    ) -> ReplayReplications {
+        let r_count = per_rep.first().map_or(0, |rep| rep.classes.len());
+        let classes = (0..r_count)
+            .map(|r| MergedClassReplay {
+                offered: total(&per_rep, |rep| rep.classes[r].offered),
+                admitted: total(&per_rep, |rep| rep.classes[r].admitted),
+                denied_capacity: total(&per_rep, |rep| rep.classes[r].denied_capacity),
+                denied_policy: total(&per_rep, |rep| rep.classes[r].denied_policy),
+                acceptance: across(&per_rep, confidence, |rep| rep.classes[r].acceptance.mean),
+                analytic_acceptance: per_rep[0].classes[r].analytic_acceptance,
+            })
+            .collect();
+        ReplayReplications {
+            replications: per_rep.len() as u64,
+            rounds,
+            events: total(&per_rep, |rep| rep.events),
+            arrivals: total(&per_rep, |rep| rep.arrivals),
+            departures: total(&per_rep, |rep| rep.departures),
+            classes,
+            per_rep,
+        }
+    }
+
+    fn width(per_rep: &[ReplayReport], confidence: Confidence) -> f64 {
+        let classes = |rep: &ReplayReport| rep.classes.len();
+        widest(per_rep, confidence, classes, |rep, r| {
+            rep.classes[r].acceptance.mean
+        })
+    }
+
+    fn events(report: &ReplayReport) -> u64 {
+        report.events
     }
 }
 
@@ -294,26 +343,7 @@ pub fn run_replications(
     cfg: &ReplayConfig,
     rep: &RepConfig,
 ) -> Result<ReplayReplications, AdmissionError> {
-    let per_rep = collect_replay(model, cfg, 0, rep.replications, rep.master_seed)?;
-    let merged = merge_replay(per_rep, 1, rep.confidence);
-    record_harness_obs(merged.replications, 1, merged.events);
-    Ok(merged)
-}
-
-fn collect_replay(
-    model: &Model,
-    cfg: &ReplayConfig,
-    start: u64,
-    count: u64,
-    master_seed: u64,
-) -> Result<Vec<ReplayReport>, AdmissionError> {
-    let results = replicate_range(start, count, master_seed, |r: Replication| {
-        let mut rep_cfg = cfg.clone();
-        rep_cfg.seed = r.seed;
-        replay(model, &rep_cfg)
-    });
-    // Propagate the first error in replication order (deterministic).
-    results.into_iter().collect()
+    replicate_job(&Job(model, cfg), rep, None)
 }
 
 /// Adaptive-stopping [`run_replications`]: grow the replication count by
@@ -325,34 +355,7 @@ pub fn run_until_ci(
     rep: &RepConfig,
     target: CiTarget,
 ) -> Result<ReplayReplications, AdmissionError> {
-    let mut per_rep: Vec<ReplayReport> = Vec::new();
-    let mut rounds = 0u64;
-    loop {
-        let want = if rounds == 0 {
-            target.initial.max(2).min(target.max)
-        } else {
-            target.step.min(target.max - per_rep.len() as u64)
-        };
-        per_rep.extend(collect_replay(
-            model,
-            cfg,
-            per_rep.len() as u64,
-            want,
-            rep.master_seed,
-        )?);
-        rounds += 1;
-        let merged = merge_replay(per_rep, rounds, rep.confidence);
-        let width = merged
-            .classes
-            .iter()
-            .map(|c| c.acceptance.half_width)
-            .fold(0.0f64, f64::max);
-        if width <= target.half_width || merged.replications >= target.max {
-            record_harness_obs(merged.replications, rounds, merged.events);
-            return Ok(merged);
-        }
-        per_rep = merged.per_rep;
-    }
+    replicate_job(&Job(model, cfg), rep, Some(target))
 }
 
 // ---------------------------------------------------------------------------
@@ -395,67 +398,48 @@ pub struct SimReplications {
     pub per_rep: Vec<SimReport>,
 }
 
-/// Single-pass reducer over crossbar replication reports.
-fn merge_sim(per_rep: Vec<SimReport>, rounds: u64, confidence: Confidence) -> SimReplications {
-    let r_count = per_rep.first().map(|r| r.classes.len()).unwrap_or(0);
-    let mut events = 0u64;
-    let mut counts = vec![(0u64, 0u64, 0u64, 0u64); r_count];
-    let mut blocking: Vec<Vec<f64>> = vec![Vec::with_capacity(per_rep.len()); r_count];
-    let mut availability: Vec<Vec<f64>> = vec![Vec::with_capacity(per_rep.len()); r_count];
-    let mut concurrency: Vec<Vec<f64>> = vec![Vec::with_capacity(per_rep.len()); r_count];
-    let mut revenue = Vec::with_capacity(per_rep.len());
-    for rep in &per_rep {
-        events += rep.events;
-        revenue.push(rep.revenue);
-        for (r, c) in rep.classes.iter().enumerate() {
-            counts[r].0 += c.offered;
-            counts[r].1 += c.accepted;
-            counts[r].2 += c.blocked;
-            counts[r].3 += c.fault_blocked;
-            blocking[r].push(c.blocking.mean);
-            availability[r].push(c.availability.mean);
-            concurrency[r].push(c.concurrency.mean);
+impl Replicate for Job<'_, SimConfig, RunConfig> {
+    type Report = SimReport;
+    type Merged = SimReplications;
+    type Error = SimError;
+
+    fn run(&self, seed: u64) -> Result<SimReport, SimError> {
+        Ok(CrossbarSim::new(self.0.clone(), seed).run(*self.1))
+    }
+
+    fn merge(per_rep: Vec<SimReport>, rounds: u64, confidence: Confidence) -> SimReplications {
+        let r_count = per_rep.first().map_or(0, |rep| rep.classes.len());
+        let classes = (0..r_count)
+            .map(|r| MergedClassSim {
+                offered: total(&per_rep, |rep| rep.classes[r].offered),
+                accepted: total(&per_rep, |rep| rep.classes[r].accepted),
+                blocked: total(&per_rep, |rep| rep.classes[r].blocked),
+                fault_blocked: total(&per_rep, |rep| rep.classes[r].fault_blocked),
+                blocking: across(&per_rep, confidence, |rep| rep.classes[r].blocking.mean),
+                availability: across(&per_rep, confidence, |rep| rep.classes[r].availability.mean),
+                concurrency: across(&per_rep, confidence, |rep| rep.classes[r].concurrency.mean),
+            })
+            .collect();
+        SimReplications {
+            replications: per_rep.len() as u64,
+            rounds,
+            events: total(&per_rep, |rep| rep.events),
+            classes,
+            revenue: across(&per_rep, confidence, |rep| rep.revenue),
+            per_rep,
         }
     }
-    let classes = (0..r_count)
-        .map(|r| MergedClassSim {
-            offered: counts[r].0,
-            accepted: counts[r].1,
-            blocked: counts[r].2,
-            fault_blocked: counts[r].3,
-            blocking: across(std::mem::take(&mut blocking[r]), confidence),
-            availability: across(std::mem::take(&mut availability[r]), confidence),
-            concurrency: across(std::mem::take(&mut concurrency[r]), confidence),
-        })
-        .collect();
-    SimReplications {
-        replications: per_rep.len() as u64,
-        rounds,
-        events,
-        classes,
-        revenue: across(revenue, confidence),
-        per_rep,
-    }
-}
 
-fn collect_sim(
-    cfg: &SimConfig,
-    run: &RunConfig,
-    start: u64,
-    count: u64,
-    master_seed: u64,
-) -> Result<Vec<SimReport>, SimError> {
-    // Validate once up front so workers can't trip the panicking path.
-    CrossbarSim::try_new(cfg.clone(), 0)?;
-    Ok(replicate_range(
-        start,
-        count,
-        master_seed,
-        |r: Replication| {
-            let mut sim = CrossbarSim::new(cfg.clone(), r.seed);
-            sim.run(*run)
-        },
-    ))
+    fn width(per_rep: &[SimReport], confidence: Confidence) -> f64 {
+        let classes = |rep: &SimReport| rep.classes.len();
+        widest(per_rep, confidence, classes, |rep, r| {
+            rep.classes[r].blocking.mean
+        })
+    }
+
+    fn events(report: &SimReport) -> u64 {
+        report.events
+    }
 }
 
 /// Fan `rep.replications` independent [`CrossbarSim`] runs over the
@@ -465,10 +449,9 @@ pub fn run_sim_replications(
     run: &RunConfig,
     rep: &RepConfig,
 ) -> Result<SimReplications, SimError> {
-    let per_rep = collect_sim(cfg, run, 0, rep.replications, rep.master_seed)?;
-    let merged = merge_sim(per_rep, 1, rep.confidence);
-    record_harness_obs(merged.replications, 1, merged.events);
-    Ok(merged)
+    // Validate once up front so workers can't trip the panicking path.
+    CrossbarSim::try_new(cfg.clone(), 0)?;
+    replicate_job(&Job(cfg, run), rep, None)
 }
 
 /// Adaptive-stopping [`run_sim_replications`]: rounds grow until every
@@ -480,34 +463,8 @@ pub fn run_sim_until_ci(
     rep: &RepConfig,
     target: CiTarget,
 ) -> Result<SimReplications, SimError> {
-    let mut per_rep: Vec<SimReport> = Vec::new();
-    let mut rounds = 0u64;
-    loop {
-        let want = if rounds == 0 {
-            target.initial.max(2).min(target.max)
-        } else {
-            target.step.min(target.max - per_rep.len() as u64)
-        };
-        per_rep.extend(collect_sim(
-            cfg,
-            run,
-            per_rep.len() as u64,
-            want,
-            rep.master_seed,
-        )?);
-        rounds += 1;
-        let merged = merge_sim(per_rep, rounds, rep.confidence);
-        let width = merged
-            .classes
-            .iter()
-            .map(|c| c.blocking.half_width)
-            .fold(0.0f64, f64::max);
-        if width <= target.half_width || merged.replications >= target.max {
-            record_harness_obs(merged.replications, rounds, merged.events);
-            return Ok(merged);
-        }
-        per_rep = merged.per_rep;
-    }
+    CrossbarSim::try_new(cfg.clone(), 0)?;
+    replicate_job(&Job(cfg, run), rep, Some(target))
 }
 
 // ---------------------------------------------------------------------------
@@ -543,52 +500,45 @@ pub struct RetrialReplications {
     pub per_rep: Vec<RetrialReport>,
 }
 
-/// Single-pass reducer over retrial replication reports.
-fn merge_retrial(
-    per_rep: Vec<RetrialReport>,
-    rounds: u64,
-    confidence: Confidence,
-) -> RetrialReplications {
-    let mut sums = (0u64, 0u64, 0u64, 0u64, 0u64, 0u64, 0u64);
-    let mut loss = Vec::with_capacity(per_rep.len());
-    let mut attempt_blocking = Vec::with_capacity(per_rep.len());
-    for rep in &per_rep {
-        sums.0 += rep.calls;
-        sums.1 += rep.carried;
-        sums.2 += rep.lost;
-        sums.3 += rep.pending;
-        sums.4 += rep.attempts;
-        sums.5 += rep.blocked_attempts;
-        sums.6 += rep.retries;
-        loss.push(rep.loss.mean);
-        attempt_blocking.push(rep.attempt_blocking.mean);
-    }
-    RetrialReplications {
-        replications: per_rep.len() as u64,
-        rounds,
-        calls: sums.0,
-        carried: sums.1,
-        lost: sums.2,
-        pending: sums.3,
-        attempts: sums.4,
-        blocked_attempts: sums.5,
-        retries: sums.6,
-        loss: across(loss, confidence),
-        attempt_blocking: across(attempt_blocking, confidence),
-        per_rep,
-    }
-}
+impl Replicate for Job<'_, RetrialConfig, RunConfig> {
+    type Report = RetrialReport;
+    type Merged = RetrialReplications;
+    type Error = std::convert::Infallible;
 
-fn collect_retrial(
-    cfg: &RetrialConfig,
-    run: &RunConfig,
-    start: u64,
-    count: u64,
-    master_seed: u64,
-) -> Vec<RetrialReport> {
-    replicate_range(start, count, master_seed, |r: Replication| {
-        RetrialSim::new(cfg.clone(), r.seed).run(run.warmup, run.duration, run.batches)
-    })
+    fn run(&self, seed: u64) -> Result<RetrialReport, Self::Error> {
+        let Job(cfg, run) = *self;
+        Ok(RetrialSim::new(cfg.clone(), seed).run(run.warmup, run.duration, run.batches))
+    }
+
+    fn merge(
+        per_rep: Vec<RetrialReport>,
+        rounds: u64,
+        confidence: Confidence,
+    ) -> RetrialReplications {
+        RetrialReplications {
+            replications: per_rep.len() as u64,
+            rounds,
+            calls: total(&per_rep, |rep| rep.calls),
+            carried: total(&per_rep, |rep| rep.carried),
+            lost: total(&per_rep, |rep| rep.lost),
+            pending: total(&per_rep, |rep| rep.pending),
+            attempts: total(&per_rep, |rep| rep.attempts),
+            blocked_attempts: total(&per_rep, |rep| rep.blocked_attempts),
+            retries: total(&per_rep, |rep| rep.retries),
+            loss: across(&per_rep, confidence, |rep| rep.loss.mean),
+            attempt_blocking: across(&per_rep, confidence, |rep| rep.attempt_blocking.mean),
+            per_rep,
+        }
+    }
+
+    fn width(per_rep: &[RetrialReport], confidence: Confidence) -> f64 {
+        across(per_rep, confidence, |rep| rep.loss.mean).half_width
+    }
+
+    /// Retrial runs count attempts, not events.
+    fn events(report: &RetrialReport) -> u64 {
+        report.attempts
+    }
 }
 
 /// Fan `rep.replications` independent [`RetrialSim`] runs over the worker
@@ -598,10 +548,7 @@ pub fn run_retrial_replications(
     run: &RunConfig,
     rep: &RepConfig,
 ) -> RetrialReplications {
-    let per_rep = collect_retrial(cfg, run, 0, rep.replications, rep.master_seed);
-    let merged = merge_retrial(per_rep, 1, rep.confidence);
-    record_harness_obs(merged.replications, 1, merged.attempts);
-    merged
+    replicate_job(&Job(cfg, run), rep, None).unwrap_or_else(|e| match e {})
 }
 
 /// Adaptive-stopping [`run_retrial_replications`]: rounds grow until the
@@ -613,29 +560,7 @@ pub fn run_retrial_until_ci(
     rep: &RepConfig,
     target: CiTarget,
 ) -> RetrialReplications {
-    let mut per_rep: Vec<RetrialReport> = Vec::new();
-    let mut rounds = 0u64;
-    loop {
-        let want = if rounds == 0 {
-            target.initial.max(2).min(target.max)
-        } else {
-            target.step.min(target.max - per_rep.len() as u64)
-        };
-        per_rep.extend(collect_retrial(
-            cfg,
-            run,
-            per_rep.len() as u64,
-            want,
-            rep.master_seed,
-        ));
-        rounds += 1;
-        let merged = merge_retrial(per_rep, rounds, rep.confidence);
-        if merged.loss.half_width <= target.half_width || merged.replications >= target.max {
-            record_harness_obs(merged.replications, rounds, merged.attempts);
-            return merged;
-        }
-        per_rep = merged.per_rep;
-    }
+    replicate_job(&Job(cfg, run), rep, Some(target)).unwrap_or_else(|e| match e {})
 }
 
 #[cfg(test)]
@@ -661,12 +586,9 @@ mod tests {
     #[test]
     fn replicate_preserves_index_order_for_any_worker_count() {
         for threads in [1usize, 2, 3, 4] {
-            let out = parallel::with_threads(threads, || {
-                replicate(17, 5, |r: Replication| (r.index, r.seed))
-            });
+            let out = parallel::with_threads(threads, || replicate_range(0, 17, 5, |seed| seed));
             assert_eq!(out.len(), 17);
-            for (i, (index, seed)) in out.iter().enumerate() {
-                assert_eq!(*index, i as u64);
+            for (i, seed) in out.iter().enumerate() {
                 assert_eq!(
                     *seed,
                     rand::rngs::SplitMix64::stream_seed(5, i as u64),

@@ -14,8 +14,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::events::{Calendar, EventKind};
-use crate::service::{sample_exp, ServiceDist};
+use crate::events::Calendar;
+use crate::service::ServiceDist;
 use crate::stats::{BatchMeans, Estimate};
 
 /// Hot-spot simulator configuration.
@@ -78,13 +78,9 @@ impl HotspotSim {
         // λ per pair, and the hot output sees that plus the redirected mass.
         let mut busy_in = vec![false; n1];
         let mut busy_out = vec![false; n2];
-        let mut cal = Calendar::new();
-        let mut live: std::collections::HashMap<u64, (usize, usize)> =
-            std::collections::HashMap::new();
-        let mut next_id = 0u64;
-        let mut now = 0.0f64;
+        // A departure carries the (input, output) pair it releases.
+        let mut cal: Calendar<Option<(usize, usize)>> = Calendar::new();
         let end_total = warmup + duration;
-        let t0 = warmup;
         let batch_len = duration / batches as f64;
 
         #[derive(Clone, Copy, Default)]
@@ -98,98 +94,64 @@ impl HotspotSim {
         let mut hot_busy_time = 0.0f64;
         let mut cold_busy_time = 0.0f64;
 
-        loop {
-            let t_arr = now + sample_exp(&mut self.rng, 1.0 / total_rate);
-            let t_dep = cal.peek_time().unwrap_or(f64::INFINITY);
-            let t_next = t_arr.min(t_dep).min(end_total);
-            // Accumulate utilisation time in the measurement window.
-            let lo = now.max(t0);
-            let hi = t_next.max(t0);
-            if hi > lo {
-                let dt = hi - lo;
-                if busy_out[hot] {
-                    hot_busy_time += dt;
+        while let Some(fired) = cal.step(
+            &mut self.rng,
+            end_total,
+            (total_rate, None),
+            (0.0, None),
+            |from, to| {
+                // Accumulate utilisation time in the measurement window.
+                let (lo, hi) = (from.max(warmup), to.max(warmup));
+                if hi > lo {
+                    let dt = hi - lo;
+                    if busy_out[hot] {
+                        hot_busy_time += dt;
+                    }
+                    let cold_busy = busy_out.iter().skip(1).filter(|&&b| b).count();
+                    cold_busy_time += cold_busy as f64 * dt;
                 }
-                let cold_busy = busy_out.iter().skip(1).filter(|&&b| b).count();
-                cold_busy_time += cold_busy as f64 * dt;
-            }
-            if t_next >= end_total {
-                break;
-            }
-            now = t_next;
-            if t_dep <= t_arr {
-                let ev = cal.pop().expect("peeked");
-                let EventKind::Departure { connection, .. } = ev.kind;
-                let (i, o) = live.remove(&connection).expect("live");
+            },
+        ) {
+            if let Some((i, o)) = fired {
                 busy_in[i] = false;
                 busy_out[o] = false;
+                continue;
+            }
+            let now = cal.now();
+            let input = self.rng.gen_range(0..n1);
+            let output = if self.rng.gen::<f64>() < cfg.hot_fraction {
+                hot
             } else {
-                let input = self.rng.gen_range(0..n1);
-                let output = if self.rng.gen::<f64>() < cfg.hot_fraction {
-                    hot
-                } else {
-                    self.rng.gen_range(0..n2)
-                };
-                let accepted = !busy_in[input] && !busy_out[output];
-                if now >= t0 {
-                    let b = (((now - t0) / batch_len) as usize).min(batches - 1);
-                    per_batch[b].offered += 1;
+                self.rng.gen_range(0..n2)
+            };
+            let accepted = !busy_in[input] && !busy_out[output];
+            if now >= warmup {
+                let b = (((now - warmup) / batch_len) as usize).min(batches - 1);
+                per_batch[b].offered += 1;
+                if output == hot {
+                    per_batch[b].hot_offered += 1;
+                }
+                if !accepted {
+                    per_batch[b].blocked += 1;
                     if output == hot {
-                        per_batch[b].hot_offered += 1;
-                    }
-                    if !accepted {
-                        per_batch[b].blocked += 1;
-                        if output == hot {
-                            per_batch[b].hot_blocked += 1;
-                        }
+                        per_batch[b].hot_blocked += 1;
                     }
                 }
-                if accepted {
-                    busy_in[input] = true;
-                    busy_out[output] = true;
-                    let id = next_id;
-                    next_id += 1;
-                    live.insert(id, (input, output));
-                    let hold = cfg.service.sample(&mut self.rng);
-                    cal.schedule(
-                        now + hold,
-                        EventKind::Departure {
-                            class: 0,
-                            connection: id,
-                        },
-                    );
-                }
+            }
+            if accepted {
+                busy_in[input] = true;
+                busy_out[output] = true;
+                let hold = cfg.service.sample(&mut self.rng);
+                cal.schedule(hold, Some((input, output)));
             }
         }
 
-        let ratio = |num: u64, den: u64| -> Option<f64> {
-            if den > 0 {
-                Some(num as f64 / den as f64)
-            } else {
-                None
-            }
+        let estimate = |ratio: fn(&Counts) -> (u64, u64)| {
+            BatchMeans::from_ratios(per_batch.iter().map(ratio)).estimate()
         };
-        let blocking = BatchMeans::from_batches(
-            per_batch
-                .iter()
-                .filter_map(|c| ratio(c.blocked, c.offered))
-                .collect(),
-        )
-        .estimate();
-        let hot_blocking = BatchMeans::from_batches(
-            per_batch
-                .iter()
-                .filter_map(|c| ratio(c.hot_blocked, c.hot_offered))
-                .collect(),
-        )
-        .estimate();
-        let cold_blocking = BatchMeans::from_batches(
-            per_batch
-                .iter()
-                .filter_map(|c| ratio(c.blocked - c.hot_blocked, c.offered - c.hot_offered))
-                .collect(),
-        )
-        .estimate();
+        let blocking = estimate(|c| (c.blocked, c.offered));
+        let hot_blocking = estimate(|c| (c.hot_blocked, c.hot_offered));
+        let cold_blocking = estimate(|c| (c.blocked - c.hot_blocked, c.offered - c.hot_offered));
 
         HotspotReport {
             blocking,

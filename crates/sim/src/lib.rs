@@ -26,6 +26,18 @@
 //!    inputs and `f2` outputs down behaves like a fault-free
 //!    `(N1−f1) × (N2−f2)` crossbar for its surviving traffic).
 //!
+//! # Structure
+//!
+//! The event-driven simulators ([`CrossbarSim`], [`HotspotSim`],
+//! [`RetrialSim`], and the Omega network in `xbar-baselines`) share one
+//! event core, [`events::Calendar`]: a clock, a calendar of scheduled
+//! events, and one step that races the arrival clock (and the crossbar's
+//! port-fault clock) against it. Each simulator supplies only its event
+//! handlers. [`replay`] is the exception: it drives the admission engine
+//! with an embedded jump chain counted in events, over the resident
+//! rates of [`RateTable`], and needs no clock. The [`harness`] runs
+//! replications of any of them through one replication loop.
+//!
 //! # Semantics (matching the product form exactly)
 //!
 //! A class-`r` request needs `a_r` inputs and `a_r` outputs. Consistently
@@ -69,10 +81,9 @@ pub mod stats;
 pub use crossbar::{ClassReport, CrossbarSim, RunConfig, SimConfig, SimError, SimReport};
 pub use faults::{FaultConfig, FaultReport};
 pub use harness::{
-    replicate, replicate_range, run_replications, run_retrial_replications, run_retrial_until_ci,
-    run_sim_replications, run_sim_until_ci, run_until_ci, CiTarget, MergedClassReplay,
-    MergedClassSim, RepConfig, ReplayReplications, Replication, RetrialReplications,
-    SimReplications,
+    run_replications, run_retrial_replications, run_retrial_until_ci, run_sim_replications,
+    run_sim_until_ci, run_until_ci, CiTarget, MergedClassReplay, MergedClassSim, RepConfig,
+    ReplayReplications, RetrialReplications, SimReplications,
 };
 pub use hotspot::HotspotSim;
 pub use rates::RateTable;

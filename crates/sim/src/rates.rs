@@ -19,16 +19,8 @@
 //!   without the O(R) `lambda`/`permutation` recomputation the rebuild
 //!   paid. An incremental `total += delta` would drift bitwise.
 //! - **Selection.** The legacy subtractive scan (`if pick < rate; pick -=
-//!   rate`) is kept verbatim. At large slot counts
-//!   ([`RateTable::TREE_MIN_SLOTS`], far above every model in this repo)
-//!   the table switches to a cumulative-sum selection tree: a perfect
-//!   binary tree of partial sums updated in O(log R) and descended in
-//!   O(log R). Each node is recomputed as the exact sum of its two
-//!   children, so — unlike a delta-accumulating Fenwick array — the tree
-//!   never drifts from the resident rates. Above the gate the total and
-//!   the selection arithmetic follow the tree's summation order (same
-//!   distribution, still deterministic per seed, documented in DESIGN.md
-//!   §17).
+//!   rate`) is kept verbatim. It is O(R) per arrival, which is cheap at
+//!   every class count the workspace builds.
 
 /// Resident transition-rate vector with cached total and O(1) updates.
 #[derive(Clone, Debug)]
@@ -40,86 +32,30 @@ pub struct RateTable {
     pairs: bool,
     total: f64,
     dirty: bool,
-    /// Cumulative-sum selection tree, 1-based (`tree[1]` = root = total);
-    /// empty below [`Self::TREE_MIN_SLOTS`].
-    tree: Vec<f64>,
-    /// Leaf count of the tree (`rates.len()` rounded up to a power of
-    /// two); 0 when the tree is disabled.
-    cap: usize,
 }
 
 impl RateTable {
-    /// Slot count at and above which selection switches from the legacy
-    /// subtractive scan to the O(log R) cumulative-sum tree. Every model
-    /// this repo constructs sits far below the gate, so the bit-identical
-    /// scan path is the one all goldens and differential tests exercise.
-    pub const TREE_MIN_SLOTS: usize = 128;
-
     /// A table of `len` zero slots. `pairs` selects the total fold order
     /// (see type docs); it must match the legacy loop being replaced.
     pub fn new(len: usize, pairs: bool) -> Self {
-        let (tree, cap) = if len >= Self::TREE_MIN_SLOTS {
-            let cap = len.next_power_of_two();
-            (vec![0.0; 2 * cap], cap)
-        } else {
-            (Vec::new(), 0)
-        };
         RateTable {
             rates: vec![0.0; len],
             pairs,
             total: 0.0,
             dirty: false,
-            tree,
-            cap,
         }
     }
 
-    /// Number of slots.
-    pub fn len(&self) -> usize {
-        self.rates.len()
-    }
-
-    /// `true` when the table has no slots.
-    pub fn is_empty(&self) -> bool {
-        self.rates.is_empty()
-    }
-
-    /// Current value of slot `j`.
-    pub fn get(&self, j: usize) -> f64 {
-        self.rates[j]
-    }
-
-    /// Whether the O(log R) tree path is active for this table.
-    pub fn uses_tree(&self) -> bool {
-        self.cap != 0
-    }
-
-    /// Set slot `j` to `v`. O(1) (plus an O(log R) path refresh when the
-    /// tree is active); the scalar total is lazily re-summed on the next
-    /// [`Self::total`] call.
+    /// Set slot `j` to `v`. O(1); the total is lazily re-summed on the
+    /// next [`Self::total`] call.
     pub fn set(&mut self, j: usize, v: f64) {
         self.rates[j] = v;
-        if self.cap == 0 {
-            self.dirty = true;
-        } else {
-            let mut node = self.cap + j;
-            self.tree[node] = v;
-            while node > 1 {
-                node /= 2;
-                // Exact recomputation from the children — no accumulated
-                // deltas, so the tree cannot drift from `rates`.
-                self.tree[node] = self.tree[2 * node] + self.tree[2 * node + 1];
-            }
-        }
+        self.dirty = true;
     }
 
-    /// Total rate. Below the tree gate this is bit-identical to the
-    /// legacy loop's fold over a freshly rebuilt vector; above it, the
-    /// tree root.
+    /// Total rate, bit-identical to the legacy loop's fold over a freshly
+    /// rebuilt vector.
     pub fn total(&mut self) -> f64 {
-        if self.cap != 0 {
-            return self.tree[1];
-        }
         if self.dirty {
             self.total = if self.pairs {
                 let mut t = 0.0;
@@ -144,37 +80,19 @@ impl RateTable {
         self.total
     }
 
-    /// Slot selected by `pick ∈ [0, total)`. Below the tree gate this is
-    /// the legacy subtractive scan, verbatim (including its
-    /// last-slot fallback when `pick` survives the whole walk through
-    /// accumulated rounding); above it, an O(log R) tree descent with the
-    /// same fallback clamp.
+    /// Slot selected by `pick ∈ [0, total)`: the legacy subtractive scan,
+    /// verbatim, including its last-slot fallback when `pick` survives
+    /// the whole walk through accumulated rounding.
     pub fn select(&self, mut pick: f64) -> usize {
-        if self.cap == 0 {
-            let mut chosen = self.rates.len() - 1;
-            for (j, &rate) in self.rates.iter().enumerate() {
-                if pick < rate {
-                    chosen = j;
-                    break;
-                }
-                pick -= rate;
+        let mut chosen = self.rates.len() - 1;
+        for (j, &rate) in self.rates.iter().enumerate() {
+            if pick < rate {
+                chosen = j;
+                break;
             }
-            chosen
-        } else {
-            let mut node = 1;
-            while node < self.cap {
-                let left = self.tree[2 * node];
-                if pick < left {
-                    node *= 2;
-                } else {
-                    pick -= left;
-                    node = 2 * node + 1;
-                }
-            }
-            // Padding leaves are zero, so an in-range pick can only land
-            // there via rounding at the boundary — clamp like the scan.
-            (node - self.cap).min(self.rates.len() - 1)
+            pick -= rate;
         }
+        chosen
     }
 }
 
@@ -251,71 +169,6 @@ mod tests {
             let got = table.select(pick);
             assert_eq!(got, scan(&v, pick));
             assert_ne!(got, 3);
-        }
-    }
-
-    #[test]
-    fn tree_path_engages_at_the_gate_and_agrees_with_the_scan() {
-        let len = RateTable::TREE_MIN_SLOTS + 37; // non-power-of-two
-        let mut table = RateTable::new(len, true);
-        assert!(table.uses_tree());
-        assert!(!RateTable::new(len - 38, true).uses_tree());
-        let mut rng = StdRng::seed_from_u64(33);
-        let mut v = vec![0.0f64; len];
-        for (i, slot) in v.iter_mut().enumerate() {
-            let x = rng.gen::<f64>();
-            *slot = x;
-            table.set(i, x);
-        }
-        // Root equals the resident rates' sum up to tree-order rounding.
-        let flat: f64 = v.iter().sum();
-        assert!((table.total() - flat).abs() <= 1e-12 * flat);
-        // Descent lands on the same slot as the scan for every draw (the
-        // arithmetic differs, but a boundary coincidence under these
-        // fixed seeds would be a ~1e-16-probability event; deterministic
-        // seeds make the assertion stable).
-        for _ in 0..20_000 {
-            let pick = rng.gen::<f64>() * table.total();
-            assert_eq!(table.select(pick), scan(&v, pick));
-        }
-        // Sparse vector: mass concentrated in two far-apart slots.
-        v.fill(0.0);
-        for i in 0..len {
-            table.set(i, 0.0);
-        }
-        v[1] = 3.0;
-        v[len - 1] = 1.0;
-        table.set(1, 3.0);
-        table.set(len - 1, 1.0);
-        for _ in 0..1_000 {
-            let pick = rng.gen::<f64>() * table.total();
-            let got = table.select(pick);
-            assert_eq!(got, scan(&v, pick));
-            assert!(got == 1 || got == len - 1);
-        }
-    }
-
-    #[test]
-    fn updates_keep_tree_and_scalar_paths_consistent() {
-        let len = RateTable::TREE_MIN_SLOTS;
-        let mut table = RateTable::new(len, false);
-        let mut rng = StdRng::seed_from_u64(34);
-        let mut v = vec![0.0f64; len];
-        for _ in 0..2_000 {
-            let j = rng.gen_range(0..len);
-            let x = if rng.gen_bool(0.2) {
-                0.0
-            } else {
-                rng.gen::<f64>() * 5.0
-            };
-            v[j] = x;
-            table.set(j, x);
-            let flat: f64 = v.iter().sum();
-            assert!((table.total() - flat).abs() <= 1e-9 * flat.max(1.0));
-        }
-        for _ in 0..2_000 {
-            let pick = rng.gen::<f64>() * table.total();
-            assert_eq!(table.select(pick), scan(&v, pick));
         }
     }
 }

@@ -114,18 +114,14 @@ fn finish(
     let stats = engine.stats();
     let classes_out = (0..stats.per_class.len())
         .map(|r| {
-            let fractions: Vec<f64> = batch_counts
-                .iter()
-                .filter(|b| b[r].0 > 0)
-                .map(|b| b[r].1 as f64 / b[r].0 as f64)
-                .collect();
+            let fractions = BatchMeans::from_ratios(batch_counts.iter().map(|b| (b[r].1, b[r].0)));
             let cs = &stats.per_class[r];
             ClassReplay {
                 offered: cs.offered,
                 admitted: cs.admitted,
                 denied_capacity: cs.denied_capacity,
                 denied_policy: cs.denied_policy,
-                acceptance: BatchMeans::from_batches(fractions).estimate_at(Confidence::P99),
+                acceptance: fractions.estimate_at(Confidence::P99),
                 analytic_acceptance: engine.analytic_acceptance(r),
             }
         })
@@ -235,11 +231,12 @@ pub fn replay(model: &Model, cfg: &ReplayConfig) -> Result<ReplayReport, Admissi
     Ok(finish(&engine, &batch_counts, arrivals, departures))
 }
 
-/// The pre-optimisation replay loop, kept verbatim as the reference for
-/// the [`replay`] hot path: it rebuilds all `2R` rates and rescans
-/// linearly every event. Retained (not test-gated) so the differential
-/// proptest battery can prove decision-for-decision equivalence and so
-/// the perf trajectory can benchmark the rewrite against a live baseline.
+/// The pre-optimisation replay loop, kept verbatim as the differential
+/// oracle for the [`replay`] hot path: it rebuilds all `2R` rates and
+/// rescans linearly every event. Retained (not test-gated) so the
+/// proptest battery in `crates/sim/tests/harness_proptests.rs` can prove
+/// decision-for-decision equivalence, and so the perf trajectory's
+/// `sim/events-per-sec-scalar` record can time the rewrite against it.
 /// Not part of the supported API surface.
 #[doc(hidden)]
 pub fn replay_legacy(model: &Model, cfg: &ReplayConfig) -> Result<ReplayReport, AdmissionError> {

@@ -10,11 +10,13 @@
 //! and how much extra port pressure the retry traffic creates.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use xbar_numeric::permutation;
 use xbar_traffic::TrafficClass;
 
+use crate::crossbar::draw_ports;
+use crate::events::Calendar;
 use crate::service::sample_exp;
 use crate::stats::{BatchMeans, Estimate};
 
@@ -70,12 +72,16 @@ pub struct RetrialSim {
     rng: StdRng,
 }
 
-#[derive(Clone, Copy)]
+/// What fires in the event loop.
 enum Pending {
-    /// A retry of call `id` on its `attempt`-th try.
-    Retry { id: u64, attempt: u32 },
-    /// A departure releasing `a` ports starting at slot `slot` of `live`.
-    Departure { live_slot: usize },
+    /// A fresh call.
+    Arrival,
+    /// A retry on the call's `attempt`-th try; `batch` is the measurement
+    /// batch the call arrived in (`None` during warmup: it retries, but
+    /// doesn't count).
+    Retry { batch: Option<usize>, attempt: u32 },
+    /// A carried call departs, releasing its input and output ports.
+    Departure(Vec<u32>, Vec<u32>),
 }
 
 impl RetrialSim {
@@ -93,39 +99,17 @@ impl RetrialSim {
     /// Run for `warmup + duration` with `batches` batch means.
     pub fn run(&mut self, warmup: f64, duration: f64, batches: usize) -> RetrialReport {
         let cfg = self.cfg.clone();
-        let a = cfg.class.bandwidth as usize;
-        let (n1, n2) = (cfg.n1 as usize, cfg.n2 as usize);
+        let a = cfg.class.bandwidth;
         let tuples = permutation(cfg.n1 as u64, a as u64) * permutation(cfg.n2 as u64, a as u64);
+        let backoff_mean = cfg.backoff_mean / cfg.class.mu;
 
-        let mut busy_in = vec![false; n1];
-        let mut busy_out = vec![false; n2];
+        let mut busy_in = vec![false; cfg.n1 as usize];
+        let mut busy_out = vec![false; cfg.n2 as usize];
+        // The failed-port mask of the shared port draw: no port fails here.
+        let no_failures = vec![false; cfg.n1.max(cfg.n2) as usize];
         let mut k_live: u64 = 0;
+        let mut cal: Calendar<Pending> = Calendar::new();
 
-        // Event list: (time, Pending).
-        let mut events: std::collections::BinaryHeap<Ev> = std::collections::BinaryHeap::new();
-        struct Ev(f64, u64, Pending);
-        impl PartialEq for Ev {
-            fn eq(&self, o: &Self) -> bool {
-                self.0 == o.0 && self.1 == o.1
-            }
-        }
-        impl Eq for Ev {}
-        impl PartialOrd for Ev {
-            fn partial_cmp(&self, o: &Self) -> Option<std::cmp::Ordering> {
-                Some(self.cmp(o))
-            }
-        }
-        impl Ord for Ev {
-            fn cmp(&self, o: &Self) -> std::cmp::Ordering {
-                // Event times are always finite, so total_cmp agrees with
-                // the numeric order while staying total (no unwrap).
-                o.0.total_cmp(&self.0).then(o.1.cmp(&self.1))
-            }
-        }
-        let mut seq = 0u64;
-        let mut live: Vec<Option<(Vec<usize>, Vec<usize>)>> = Vec::new();
-
-        let mut now = 0.0f64;
         let end = warmup + duration;
         let batch_len = duration / batches as f64;
         #[derive(Clone, Copy, Default)]
@@ -137,211 +121,93 @@ impl RetrialSim {
             retries: u64,
         }
         let mut per_batch = vec![Counts::default(); batches];
-        let mut next_call = 0u64;
-        // Track per-call attempt numbers for loss accounting.
-        let mut call_batch: std::collections::HashMap<u64, usize> =
-            std::collections::HashMap::new();
+        let mut carried = 0u64;
 
-        loop {
-            let rate = tuples * cfg.class.lambda(k_live);
-            let t_arr = if rate > 0.0 {
-                now + sample_exp(&mut self.rng, 1.0 / rate)
-            } else {
-                f64::INFINITY
+        while let Some(fired) = cal.step(
+            &mut self.rng,
+            end,
+            (tuples * cfg.class.lambda(k_live), Pending::Arrival),
+            (0.0, Pending::Arrival),
+            |_, _| {},
+        ) {
+            let (batch, n_try) = match fired {
+                Pending::Departure(ins, outs) => {
+                    for i in ins {
+                        busy_in[i as usize] = false;
+                    }
+                    for o in outs {
+                        busy_out[o as usize] = false;
+                    }
+                    k_live -= 1;
+                    continue;
+                }
+                Pending::Retry { batch, attempt } => (batch, attempt),
+                Pending::Arrival => {
+                    let now = cal.now();
+                    let batch = (now >= warmup)
+                        .then(|| (((now - warmup) / batch_len) as usize).min(batches - 1));
+                    if let Some(b) = batch {
+                        per_batch[b].calls += 1;
+                    }
+                    (batch, 1)
+                }
             };
-            let t_ev = events.peek().map(|e| e.0).unwrap_or(f64::INFINITY);
-            let t_next = t_arr.min(t_ev).min(end);
-            if t_next >= end {
-                break;
+            // Fresh calls and retries make the same attempt: draw the
+            // ports, and on success hold them until a scheduled departure.
+            let (ins, in_free, _) = draw_ports(&mut self.rng, &busy_in, &no_failures, a);
+            let (outs, out_free, _) = draw_ports(&mut self.rng, &busy_out, &no_failures, a);
+            let ok = in_free && out_free;
+            if ok {
+                for &i in &ins {
+                    busy_in[i as usize] = true;
+                }
+                for &o in &outs {
+                    busy_out[o as usize] = true;
+                }
+                k_live += 1;
+                let hold = sample_exp(&mut self.rng, 1.0 / cfg.class.mu);
+                cal.schedule(hold, Pending::Departure(ins, outs));
             }
-            now = t_next;
-
-            // Attempt-execution helper runs inline below; both fresh calls
-            // and retries go through the same port draw.
-            let attempt = |rng: &mut StdRng,
-                           busy_in: &mut Vec<bool>,
-                           busy_out: &mut Vec<bool>,
-                           live: &mut Vec<Option<(Vec<usize>, Vec<usize>)>>,
-                           events: &mut std::collections::BinaryHeap<Ev>,
-                           seq: &mut u64,
-                           k_live: &mut u64,
-                           now: f64|
-             -> bool {
-                let draw = |rng: &mut StdRng, busy: &[bool], count: usize| {
-                    let mut picked: Vec<usize> = Vec::with_capacity(count);
-                    let mut free = true;
-                    while picked.len() < count {
-                        let c = rng.gen_range(0..busy.len());
-                        if picked.contains(&c) {
-                            continue;
-                        }
-                        if busy[c] {
-                            free = false;
-                        }
-                        picked.push(c);
-                    }
-                    (picked, free)
-                };
-                let (ins, f1) = draw(rng, busy_in, a);
-                let (outs, f2) = draw(rng, busy_out, a);
-                if f1 && f2 {
-                    for &i in &ins {
-                        busy_in[i] = true;
-                    }
-                    for &o in &outs {
-                        busy_out[o] = true;
-                    }
-                    *k_live += 1;
-                    let slot = live.len();
-                    live.push(Some((ins, outs)));
-                    let hold = sample_exp(rng, 1.0 / cfg.class.mu);
-                    *seq += 1;
-                    events.push(Ev(now + hold, *seq, Pending::Departure { live_slot: slot }));
-                    true
+            if let Some(b) = batch {
+                per_batch[b].attempts += 1;
+                if ok {
+                    carried += 1;
                 } else {
-                    false
+                    per_batch[b].blocked_attempts += 1;
                 }
-            };
-
-            if t_ev <= t_arr {
-                let Ev(_, _, pending) = events.pop().expect("t_ev finite implies a peeked event");
-                match pending {
-                    Pending::Departure { live_slot } => {
-                        let (ins, outs) = live[live_slot].take().expect("live");
-                        for i in ins {
-                            busy_in[i] = false;
-                        }
-                        for o in outs {
-                            busy_out[o] = false;
-                        }
-                        k_live -= 1;
-                    }
-                    Pending::Retry { id, attempt: n_try } => {
-                        // Calls originating during warmup carry the
-                        // usize::MAX sentinel: retry, but don't count.
-                        let b = call_batch.get(&id).copied().filter(|&b| b != usize::MAX);
-                        let ok = attempt(
-                            &mut self.rng,
-                            &mut busy_in,
-                            &mut busy_out,
-                            &mut live,
-                            &mut events,
-                            &mut seq,
-                            &mut k_live,
-                            now,
-                        );
-                        if let Some(b) = b {
-                            per_batch[b].attempts += 1;
-                            if !ok {
-                                per_batch[b].blocked_attempts += 1;
-                            }
-                        }
-                        if ok {
-                            call_batch.remove(&id);
-                        } else if n_try < cfg.max_attempts {
-                            if let Some(b) = b {
-                                per_batch[b].retries += 1;
-                            }
-                            let backoff =
-                                sample_exp(&mut self.rng, cfg.backoff_mean / cfg.class.mu);
-                            seq += 1;
-                            events.push(Ev(
-                                now + backoff,
-                                seq,
-                                Pending::Retry {
-                                    id,
-                                    attempt: n_try + 1,
-                                },
-                            ));
-                        } else {
-                            if let Some(b) = b {
-                                per_batch[b].lost += 1;
-                            }
-                            call_batch.remove(&id);
-                        }
-                    }
+            }
+            if ok {
+                continue;
+            }
+            if n_try < cfg.max_attempts {
+                if let Some(b) = batch {
+                    per_batch[b].retries += 1;
                 }
-            } else {
-                // Fresh call.
-                let in_window = now >= warmup;
-                let b = if in_window {
-                    Some((((now - warmup) / batch_len) as usize).min(batches - 1))
-                } else {
-                    None
-                };
-                let id = next_call;
-                next_call += 1;
-                if let Some(b) = b {
-                    per_batch[b].calls += 1;
-                    per_batch[b].attempts += 1;
-                }
-                let ok = attempt(
-                    &mut self.rng,
-                    &mut busy_in,
-                    &mut busy_out,
-                    &mut live,
-                    &mut events,
-                    &mut seq,
-                    &mut k_live,
-                    now,
-                );
-                if !ok {
-                    if let Some(b) = b {
-                        per_batch[b].blocked_attempts += 1;
-                    }
-                    if cfg.max_attempts > 1 {
-                        if let Some(b) = b {
-                            call_batch.insert(id, b);
-                            per_batch[b].retries += 1;
-                        } else {
-                            // Warmup calls retry too, but aren't counted.
-                            call_batch.insert(id, usize::MAX);
-                        }
-                        let backoff = sample_exp(&mut self.rng, cfg.backoff_mean / cfg.class.mu);
-                        seq += 1;
-                        events.push(Ev(now + backoff, seq, Pending::Retry { id, attempt: 2 }));
-                    } else if let Some(b) = b {
-                        per_batch[b].lost += 1;
-                    }
-                }
+                let backoff = sample_exp(&mut self.rng, backoff_mean);
+                let attempt = n_try + 1;
+                cal.schedule(backoff, Pending::Retry { batch, attempt });
+            } else if let Some(b) = batch {
+                per_batch[b].lost += 1;
             }
         }
 
-        // Warmup-tagged retries used usize::MAX as a sentinel batch; they
-        // were never counted. Clean aggregation:
-        let per_batch: Vec<Counts> = per_batch;
-        let calls: u64 = per_batch.iter().map(|c| c.calls).sum();
-        let lost: u64 = per_batch.iter().map(|c| c.lost).sum();
-        let attempts: u64 = per_batch.iter().map(|c| c.attempts).sum();
-        let blocked_attempts: u64 = per_batch.iter().map(|c| c.blocked_attempts).sum();
-        let retries: u64 = per_batch.iter().map(|c| c.retries).sum();
+        let sum = |count: fn(&Counts) -> u64| per_batch.iter().map(count).sum::<u64>();
+        let (calls, lost, attempts) = (sum(|c| c.calls), sum(|c| c.lost), sum(|c| c.attempts));
         // Measured calls still in back-off at `end` were "retried out":
-        // they resolved neither way, so they are not carried.
-        let pending = call_batch.values().filter(|&&b| b != usize::MAX).count() as u64;
-        let loss = BatchMeans::from_batches(
-            per_batch
-                .iter()
-                .filter(|c| c.calls > 0)
-                .map(|c| c.lost as f64 / c.calls as f64)
-                .collect(),
-        )
-        .estimate();
-        let attempt_blocking = BatchMeans::from_batches(
-            per_batch
-                .iter()
-                .filter(|c| c.attempts > 0)
-                .map(|c| c.blocked_attempts as f64 / c.attempts as f64)
-                .collect(),
-        )
-        .estimate();
+        // they resolved neither way.
+        let pending = calls - carried - lost;
+        let loss = BatchMeans::from_ratios(per_batch.iter().map(|c| (c.lost, c.calls))).estimate();
+        let attempt_blocking =
+            BatchMeans::from_ratios(per_batch.iter().map(|c| (c.blocked_attempts, c.attempts)))
+                .estimate();
         RetrialReport {
             calls,
-            carried: calls - lost - pending,
+            carried,
             lost,
             pending,
             attempts,
-            blocked_attempts,
-            retries,
+            blocked_attempts: sum(|c| c.blocked_attempts),
+            retries: sum(|c| c.retries),
             loss,
             attempt_blocking,
             mean_attempts: if calls > 0 {

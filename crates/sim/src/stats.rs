@@ -150,6 +150,19 @@ impl BatchMeans {
         BatchMeans { batch_values }
     }
 
+    /// From per-batch `(numerator, denominator)` counts: each batch
+    /// contributes the ratio `num/den`, and batches with `den == 0` (no
+    /// observations) are skipped.
+    pub fn from_ratios(counts: impl IntoIterator<Item = (u64, u64)>) -> Self {
+        BatchMeans::from_batches(
+            counts
+                .into_iter()
+                .filter(|&(_, den)| den > 0)
+                .map(|(num, den)| num as f64 / den as f64)
+                .collect(),
+        )
+    }
+
     /// Number of batches.
     pub fn batches(&self) -> usize {
         self.batch_values.len()
@@ -302,6 +315,9 @@ mod tests {
         let one = BatchMeans::from_batches(vec![5.0]).estimate();
         assert_eq!(one.mean, 5.0);
         assert_eq!(one.half_width, 0.0);
+        // Ratio batches with no observations are skipped.
+        let bm = BatchMeans::from_ratios([(1, 4), (0, 0), (3, 4)]);
+        assert_eq!((bm.batches(), bm.estimate().mean), (2, 0.5));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Golden event-stream fingerprints pinning the hot-loop rewrite.
+//! Golden event-stream fingerprints pinning the simulator loops.
 //!
 //! These counters and f64 bit patterns were captured from the legacy
 //! rebuild-every-event loops (pre-PR 10) at fixed seeds. The incremental
@@ -6,10 +6,17 @@
 //! re-sums totals in the legacy fold order and keeps the legacy
 //! subtractive selection scan, so any divergence here means the
 //! bit-compatibility contract in `crates/sim/src/rates.rs` broke.
+//!
+//! The faulted-crossbar and retrial fingerprints were captured from the
+//! hand-written event loops these simulators had before they shared the
+//! event core in `crates/sim/src/events.rs`; they pin its order contract
+//! and tie rule, the fault clock, and the stale-departure skip.
 
 use xbar_admission::{EngineConfig, PolicySpec};
 use xbar_core::{Dims, Model};
-use xbar_sim::{replay, CrossbarSim, ReplayConfig, RunConfig, SimConfig};
+use xbar_sim::{
+    replay, CrossbarSim, FaultConfig, ReplayConfig, RetrialConfig, RetrialSim, RunConfig, SimConfig,
+};
 use xbar_traffic::{TrafficClass, Workload};
 
 fn run_crossbar(cfg: SimConfig, seed: u64) -> (u64, Vec<(u64, u64, u64)>, u64) {
@@ -129,4 +136,72 @@ fn replay_streams_match_the_legacy_loop_bit_for_bit() {
             (23_949, 6_047, 17_902, 0, 0x3fd0_2a02_f802_7f56),
         ]
     );
+}
+
+#[test]
+fn faulted_crossbar_stream_is_pinned_bit_for_bit() {
+    // The replicated-CI benchmark's shape: a 16×16 switch, three classes
+    // (2, 0.6 + 0.4k and 0.8 Erlangs spread over the 16², 16², 240² port
+    // tuples: Poisson, peaky Pascal, Poisson at a = 2) and ports that fail
+    // and get repaired (MTBF 200, MTTR 10). Pins the fault clock,
+    // teardowns and the stale-departure skip with the arrival stream.
+    let cfg = SimConfig::new(16, 16)
+        .with_exp_class(TrafficClass::poisson(2.0 / 256.0))
+        .with_exp_class(TrafficClass::bpp(0.6 / 256.0, 0.4 / 256.0, 1.0))
+        .with_exp_class(TrafficClass::poisson(0.8 / 57_600.0).with_bandwidth(2))
+        .with_faults(FaultConfig::from_mtbf_mttr(200.0, 10.0));
+    let rep = CrossbarSim::new(cfg, 5).run(RunConfig {
+        warmup: 50.0,
+        duration: 2_000.0,
+        batches: 10,
+    });
+    let classes: Vec<(u64, u64, u64, u64)> = rep
+        .classes
+        .iter()
+        .map(|c| {
+            (
+                c.offered,
+                c.blocked,
+                c.fault_blocked,
+                c.blocking.mean.to_bits(),
+            )
+        })
+        .collect();
+    assert_eq!(rep.events, 12_168);
+    assert_eq!(
+        classes,
+        vec![
+            (3_986, 1_380, 373, 0x3fd6_256d_a64b_ce12),
+            (1_638, 623, 130, 0x3fd8_6074_b52f_e583),
+            (1_616, 935, 272, 0x3fe2_82bb_e819_46d2),
+        ]
+    );
+    assert_eq!(rep.revenue.to_bits(), 0x4000_fdf3_c42d_7a93);
+    let faults = rep.faults.expect("faults enabled");
+    assert_eq!(
+        (faults.failures, faults.repairs, faults.torn_down),
+        (315, 314, 55)
+    );
+}
+
+#[test]
+fn retrial_stream_is_pinned_bit_for_bit() {
+    let cfg = RetrialConfig {
+        n1: 6,
+        n2: 6,
+        class: TrafficClass::poisson(0.05),
+        max_attempts: 3,
+        backoff_mean: 0.3,
+    };
+    let rep = RetrialSim::new(cfg, 4).run(100.0, 10_000.0, 10);
+    assert_eq!(
+        (rep.calls, rep.carried, rep.lost, rep.pending),
+        (18_118, 15_833, 2_284, 1)
+    );
+    assert_eq!(
+        (rep.attempts, rep.blocked_attempts, rep.retries),
+        (29_864, 14_031, 11_747)
+    );
+    assert_eq!(rep.loss.mean.to_bits(), 0x3fc0_1e9d_338d_0e00);
+    assert_eq!(rep.attempt_blocking.mean.to_bits(), 0x3fde_0c57_ec2d_7ab6);
 }
