@@ -39,8 +39,30 @@
 //! *rejected* so a departure flood cannot exhaust memory. Malformed
 //! lines cannot be attributed to a tenant reliably, so they are counted
 //! (`serve.malformed`) but not durable.
+//!
+//! # Layout
+//!
+//! A line costs O(1) in the number of tenants. Each tenant name is
+//! interned to a dense id at first contact, and the tenant, its queue and
+//! its last batch timestamp live together in one slot at that id. The
+//! pump pops ids from a **ready ring** that holds exactly the tenants
+//! whose queue is not empty: an id joins when its queue goes from empty
+//! to non-empty and rejoins at the back after a pop that leaves events
+//! behind, so each ready tenant gets one event per round. A tenant whose
+//! drift check defers a re-anchor joins a **pending list** (at most
+//! once); the end of each pump completes that list, in name order, in
+//! one fleet batch.
+//!
+//! Tenants are visited in ready order, not name order. Nothing durable
+//! depends on that order: a tenant's decisions and WAL depend only on its
+//! own event order, which its queue keeps, and the file, tail and socket
+//! runtimes pump after every line, so at most one tenant is ready at a
+//! time and a `kill_after` point falls on the same event. When
+//! [`Daemon::pump`] returns, every event it applied has its WAL frame
+//! written to the OS (one `write_all` per record), so a process crash
+//! keeps all of them; `sync_every` decides what a machine crash keeps.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
 
 use xbar_admission::Event;
@@ -70,15 +92,23 @@ pub struct ParsedLine {
 /// Parse one protocol line. `Ok(None)` = blank or comment;
 /// `Err` = malformed, with a reason.
 pub fn parse_line(raw: &str) -> Result<Option<ParsedLine>, String> {
+    Ok(parse(raw)?.map(|(tenant, event)| ParsedLine {
+        tenant: tenant.to_string(),
+        event,
+    }))
+}
+
+/// [`parse_line`] without allocating: the tenant name borrows from `raw`.
+fn parse(raw: &str) -> Result<Option<(&str, ParsedEvent)>, String> {
     let line = raw.trim();
     if line.is_empty() || line.starts_with('#') {
         return Ok(None);
     }
     let mut parts = line.split_whitespace();
-    let tenant = parts.next().ok_or("missing tenant")?.to_string();
+    let tenant = parts.next().ok_or("missing tenant")?;
     if !tenant
-        .chars()
-        .all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_')
+        .bytes()
+        .all(|b| b.is_ascii_alphanumeric() || b == b'-' || b == b'_')
     {
         return Err(format!("bad tenant name '{tenant}'"));
     }
@@ -109,10 +139,7 @@ pub fn parse_line(raw: &str) -> Result<Option<ParsedLine>, String> {
         "d" => Event::Departure { class },
         _ => return Err(format!("bad op '{op}' (expected a|d)")),
     };
-    Ok(Some(ParsedLine {
-        tenant,
-        event: ParsedEvent { event, t },
-    }))
+    Ok(Some((tenant, ParsedEvent { event, t })))
 }
 
 /// Daemon configuration.
@@ -208,14 +235,31 @@ struct Queued {
     skewed: bool,
 }
 
+/// One tenant's daemon-side state, stored at its dense id.
+struct Slot {
+    name: String,
+    tenant: Tenant,
+    queue: VecDeque<Queued>,
+    /// Latest batch timestamp seen (clock-skew detection; only advances).
+    last_t: Option<f64>,
+    /// Whether the id is on the daemon's pending re-anchor list.
+    pending: bool,
+}
+
 /// The multi-tenant admission daemon.
 pub struct Daemon {
     dir: PathBuf,
     model: Model,
     cfg: DaemonConfig,
-    tenants: BTreeMap<String, Tenant>,
-    queues: BTreeMap<String, VecDeque<Queued>>,
-    last_t: BTreeMap<String, f64>,
+    /// Tenant name → dense id (index into `slots`).
+    ids: HashMap<String, usize>,
+    slots: Vec<Slot>,
+    /// Every id, in tenant-name order.
+    by_name: Vec<usize>,
+    /// Ids whose queue is not empty, each once, in visit order.
+    ready: VecDeque<usize>,
+    /// Ids with a deferred re-anchor to complete, each once.
+    pending: Vec<usize>,
     next_line: u64,
     counters: DaemonCounters,
 }
@@ -233,9 +277,11 @@ impl Daemon {
             dir: dir.to_path_buf(),
             model: model.clone(),
             cfg,
-            tenants: BTreeMap::new(),
-            queues: BTreeMap::new(),
-            last_t: BTreeMap::new(),
+            ids: HashMap::new(),
+            slots: Vec::new(),
+            by_name: Vec::new(),
+            ready: VecDeque::new(),
+            pending: Vec::new(),
             next_line: 0,
             counters: DaemonCounters::default(),
         };
@@ -253,21 +299,34 @@ impl Daemon {
         }
         names.sort();
         for name in names {
-            let report = daemon.open_tenant(&name)?;
+            let (_, report) = daemon.open_tenant(&name)?;
             reports.push((name, report));
         }
         Ok((daemon, reports))
     }
 
-    fn open_tenant(&mut self, name: &str) -> Result<RecoveryReport, ServeError> {
+    /// Open (or recover) tenant `name` and give it the next dense id.
+    fn open_tenant(&mut self, name: &str) -> Result<(usize, RecoveryReport), ServeError> {
         // Daemon-owned tenants defer drift re-anchors so each pump pass
         // can coalesce them into one fleet solve.
         let mut tcfg = self.cfg.tenant.clone();
         tcfg.coalesce_reanchors = true;
         let (tenant, report) = Tenant::open(name, &self.dir, &self.model, tcfg)?;
-        self.tenants.insert(name.to_string(), tenant);
-        self.queues.insert(name.to_string(), VecDeque::new());
-        Ok(report)
+        let id = self.slots.len();
+        self.slots.push(Slot {
+            name: name.to_string(),
+            tenant,
+            queue: VecDeque::new(),
+            last_t: None,
+            pending: false,
+        });
+        self.ids.insert(name.to_string(), id);
+        let slots = &self.slots;
+        let at = self
+            .by_name
+            .partition_point(|&other| slots[other].name.as_str() < name);
+        self.by_name.insert(at, id);
+        Ok((id, report))
     }
 
     /// Advance the line counter past every recovered tenant's durable
@@ -280,9 +339,9 @@ impl Daemon {
     /// for those.
     pub fn seek_past_durable(&mut self) {
         let max = self
-            .tenants
-            .values()
-            .map(Tenant::resume_seq)
+            .slots
+            .iter()
+            .map(|s| s.tenant.resume_seq())
             .max()
             .unwrap_or(0);
         self.next_line = self.next_line.max(max);
@@ -295,7 +354,7 @@ impl Daemon {
         self.next_line += 1;
         let seq = self.next_line;
         self.counters.lines += 1;
-        let parsed = match parse_line(raw) {
+        let (name, parsed) = match parse(raw) {
             Ok(Some(p)) => p,
             Ok(None) => return Ok(()),
             Err(_) => {
@@ -304,38 +363,29 @@ impl Daemon {
                 return Ok(());
             }
         };
-        if !self.tenants.contains_key(&parsed.tenant) {
-            self.open_tenant(&parsed.tenant)?;
-        }
+        let id = match self.ids.get(name) {
+            Some(&id) => id,
+            None => self.open_tenant(name)?.0,
+        };
+        let slot = &mut self.slots[id];
         // Clock-skew detection: a timestamp that runs backwards within the
         // tenant's stream flags the event (last_t only advances).
         let mut skewed = false;
-        if let Some(t) = parsed.event.t {
-            match self.last_t.get_mut(&parsed.tenant) {
-                Some(last) if t < *last => skewed = true,
-                Some(last) => *last = t,
-                None => {
-                    self.last_t.insert(parsed.tenant.clone(), t);
-                }
+        if let Some(t) = parsed.t {
+            match slot.last_t {
+                Some(last) if t < last => skewed = true,
+                _ => slot.last_t = Some(t),
             }
         }
-        let tenant = self
-            .tenants
-            .get_mut(&parsed.tenant)
-            .expect("tenant opened above");
         // Crash-resume dedupe: a durable record from before this process
         // started — skip before it costs queue space. (A seq merely below
         // the resume watermark with no record was queued-but-lost at the
         // crash; it falls through and applies.)
-        if tenant.is_durable(seq) {
+        if slot.tenant.is_durable(seq) {
             self.counters.duplicates += 1;
             return Ok(());
         }
-        let queue = self
-            .queues
-            .get_mut(&parsed.tenant)
-            .expect("queue exists with tenant");
-        if self.cfg.queue_cap > 0 && queue.len() >= self.cfg.queue_cap {
+        if self.cfg.queue_cap > 0 && slot.queue.len() >= self.cfg.queue_cap {
             // Bounded queue full: deny-with-reason, durably. Departures
             // are never shed (dropping one would wedge the occupancy
             // vector forever), so they may keep queueing past the cap —
@@ -344,110 +394,120 @@ impl Daemon {
             // exhaust memory, so the departure is durably *rejected*
             // (counted outside the offers identity; the occupancy vector
             // may stay overstated — the documented cost of staying alive).
-            let class = match parsed.event.event {
-                Event::Arrival { class } | Event::Departure { class } => class,
-            };
-            match parsed.event.event {
-                Event::Arrival { .. } => {
-                    tenant.shed(seq, class as u16, skewed)?;
+            match parsed.event {
+                Event::Arrival { class } => {
+                    slot.tenant.shed(seq, class as u16, skewed)?;
                     xbar_obs::inc("serve.shed");
+                    return Ok(());
                 }
-                Event::Departure { .. } => {
+                Event::Departure { class } => {
                     let hard_cap = self.cfg.queue_cap.saturating_mul(DEPARTURE_QUEUE_SLACK);
-                    if queue.len() >= hard_cap {
-                        tenant.reject(seq, class as u16, skewed)?;
+                    if slot.queue.len() >= hard_cap {
+                        slot.tenant.reject(seq, class as u16, skewed)?;
                         xbar_obs::inc("serve.departure_overflow");
-                    } else {
-                        queue.push_back(Queued {
-                            seq,
-                            event: parsed.event.event,
-                            skewed,
-                        });
+                        return Ok(());
                     }
                 }
             }
-            return Ok(());
         }
-        queue.push_back(Queued {
+        if slot.queue.is_empty() {
+            self.ready.push_back(id);
+        }
+        slot.queue.push_back(Queued {
             seq,
-            event: parsed.event.event,
+            event: parsed.event,
             skewed,
         });
         Ok(())
     }
 
-    /// Apply up to `budget` queued events, round-robin across tenants.
+    /// Apply up to `budget` queued events, one per ready tenant per round.
     /// Returns how many were applied. Honours the chaos `kill_after` hook
     /// and per-tenant restart backoffs.
     pub fn pump(&mut self, budget: u64) -> Result<u64, ServeError> {
         let mut applied = 0u64;
         while applied < budget {
-            let mut progressed = false;
-            for (name, queue) in self.queues.iter_mut() {
-                if applied >= budget {
-                    break;
-                }
-                let Some(q) = queue.pop_front() else { continue };
-                let tenant = self.tenants.get_mut(name).expect("tenant exists");
-                let outcome = tenant.apply(q.seq, q.event, q.skewed)?;
-                if outcome == Outcome::Duplicate {
-                    self.counters.duplicates += 1;
-                } else {
-                    applied += 1;
-                    self.counters.applied += 1;
-                    if let Some(kill_after) = self.cfg.kill_after {
-                        if self.counters.applied >= kill_after {
-                            // Deterministic kill -9: no unwinding, no
-                            // drop glue, no flushes.
-                            std::process::abort();
-                        }
-                    }
-                }
-                if let Some(backoff) = tenant.take_backoff() {
-                    self.counters.backoff_ns += backoff.as_nanos() as u64;
-                    if self.cfg.sleep_on_backoff {
-                        std::thread::sleep(backoff);
-                    }
-                }
-                progressed = true;
-            }
-            if !progressed {
+            let Some(id) = self.ready.pop_front() else {
                 break;
+            };
+            let slot = &mut self.slots[id];
+            let q = slot
+                .queue
+                .pop_front()
+                .expect("a ready tenant has a queued event");
+            if !slot.queue.is_empty() {
+                self.ready.push_back(id);
+            }
+            let outcome = slot.tenant.apply(q.seq, q.event, q.skewed)?;
+            if !slot.pending && slot.tenant.reanchor_pending() {
+                slot.pending = true;
+                self.pending.push(id);
+            }
+            if outcome == Outcome::Duplicate {
+                self.counters.duplicates += 1;
+            } else {
+                applied += 1;
+                self.counters.applied += 1;
+                if let Some(kill_after) = self.cfg.kill_after {
+                    if self.counters.applied >= kill_after {
+                        // Deterministic kill -9: no unwinding, no
+                        // drop glue, no flushes.
+                        std::process::abort();
+                    }
+                }
+            }
+            if let Some(backoff) = slot.tenant.take_backoff() {
+                self.counters.backoff_ns += backoff.as_nanos() as u64;
+                if self.cfg.sleep_on_backoff {
+                    std::thread::sleep(backoff);
+                }
             }
         }
         self.complete_pending_reanchors()?;
         Ok(applied)
     }
 
-    /// Complete every deferred drift re-anchor in one fleet batch: a
-    /// single [`xbar_core::solve_fleet`] call pre-warms the global solve
-    /// cache (deduped, sharded over the worker pool), so each tenant's
-    /// own `re_anchor` below is a cache hit instead of a fresh
-    /// sequential solve. Per-tenant failure supervision is untouched —
-    /// fleet errors are not consumed here; the tenant's re-anchor hits
-    /// the same error and walks its own restart/quarantine ladder.
+    /// Complete every deferred drift re-anchor on the pending list in one
+    /// fleet batch: a single [`xbar_core::solve_fleet`] call pre-warms the
+    /// global solve cache (deduped, sharded over the worker pool), so each
+    /// tenant's own `re_anchor` below is a cache hit instead of a fresh
+    /// sequential solve. Quarantined tenants leave the list uncompleted.
+    /// Per-tenant failure supervision is untouched — fleet errors are not
+    /// consumed here; the tenant's re-anchor hits the same error and walks
+    /// its own restart/quarantine ladder.
     fn complete_pending_reanchors(&mut self) -> Result<(), ServeError> {
-        let due: Vec<String> = self
-            .tenants
-            .iter()
-            .filter(|(_, t)| t.reanchor_pending() && !t.quarantined())
-            .map(|(n, _)| n.clone())
-            .collect();
-        if due.is_empty() {
+        if self.pending.is_empty() {
             return Ok(());
         }
-        let models: Vec<Model> = due
+        let slots = &mut self.slots;
+        self.pending.retain(|&id| {
+            let due = !slots[id].tenant.quarantined();
+            slots[id].pending = due;
+            due
+        });
+        if self.pending.is_empty() {
+            return Ok(());
+        }
+        // Reverse name order, so popping completes tenants by name.
+        self.pending
+            .sort_unstable_by(|&a, &b| slots[b].name.cmp(&slots[a].name));
+        let models: Vec<Model> = self
+            .pending
             .iter()
-            .map(|n| self.tenants[n].model().clone())
+            .rev()
+            .map(|&id| slots[id].tenant.model().clone())
             .collect();
         let _ = xbar_core::solve_fleet(&models, self.cfg.tenant.algorithm);
-        self.counters.batched_reanchors += due.len() as u64;
+        self.counters.batched_reanchors += models.len() as u64;
         self.counters.reanchor_batches += 1;
-        xbar_obs::record("serve.reanchor.batch_size", due.len() as f64);
-        for name in due {
-            let tenant = self.tenants.get_mut(&name).expect("tenant exists");
-            tenant.complete_pending_reanchor()?;
-            if let Some(backoff) = tenant.take_backoff() {
+        xbar_obs::record("serve.reanchor.batch_size", models.len() as f64);
+        // Pop before completing: on an error the rest stay listed for the
+        // next pass.
+        while let Some(id) = self.pending.pop() {
+            let slot = &mut slots[id];
+            slot.pending = false;
+            slot.tenant.complete_pending_reanchor()?;
+            if let Some(backoff) = slot.tenant.take_backoff() {
                 self.counters.backoff_ns += backoff.as_nanos() as u64;
                 if self.cfg.sleep_on_backoff {
                     std::thread::sleep(backoff);
@@ -465,8 +525,8 @@ impl Daemon {
     /// Drain, snapshot, and sync every tenant (clean shutdown).
     pub fn shutdown(&mut self) -> Result<(), ServeError> {
         self.drain()?;
-        for tenant in self.tenants.values_mut() {
-            tenant.shutdown()?;
+        for slot in &mut self.slots {
+            slot.tenant.shutdown()?;
         }
         Ok(())
     }
@@ -474,7 +534,7 @@ impl Daemon {
     /// Fleet-wide accounting (sums every tenant).
     pub fn accounting(&self) -> Accounting {
         let mut acc = Accounting::default();
-        for t in self.tenants.values() {
+        for (_, t) in self.tenants() {
             let s = t.engine().stats();
             acc.offers += t.offers();
             acc.admitted += s.admitted();
@@ -490,7 +550,7 @@ impl Daemon {
     /// Sum of serve counters across tenants.
     pub fn serve_counters(&self) -> ServeCounters {
         let mut out = ServeCounters::default();
-        for t in self.tenants.values() {
+        for (_, t) in self.tenants() {
             let c = t.counters();
             out.shed += c.shed;
             out.rejected += c.rejected;
@@ -505,7 +565,7 @@ impl Daemon {
 
     /// Number of quarantined tenants.
     pub fn quarantined_tenants(&self) -> usize {
-        self.tenants.values().filter(|t| t.quarantined()).count()
+        self.tenants().filter(|(_, t)| t.quarantined()).count()
     }
 
     /// Flush fleet counters into the active observability sink, including
@@ -534,11 +594,11 @@ impl Daemon {
         xbar_obs::add("serve.lines", self.counters.lines);
         xbar_obs::add("serve.malformed.total", self.counters.malformed);
         xbar_obs::add("serve.duplicates", self.counters.duplicates);
-        xbar_obs::add("serve.tenants", self.tenants.len() as u64);
+        xbar_obs::add("serve.tenants", self.slots.len() as u64);
         xbar_obs::add("serve.quarantined", self.quarantined_tenants() as u64);
-        let stale = self.tenants.values().filter(|t| t.anchor_stale()).count();
+        let stale = self.tenants().filter(|(_, t)| t.anchor_stale()).count();
         xbar_obs::set_gauge("serve.anchor_stale", stale as u64);
-        for t in self.tenants.values() {
+        for (_, t) in self.tenants() {
             t.engine().flush_obs();
         }
     }
@@ -555,17 +615,20 @@ impl Daemon {
 
     /// The tenants, by name (read access).
     pub fn tenants(&self) -> impl Iterator<Item = (&String, &Tenant)> {
-        self.tenants.iter()
+        self.by_name.iter().map(|&id| {
+            let slot = &self.slots[id];
+            (&slot.name, &slot.tenant)
+        })
     }
 
     /// Look up one tenant.
     pub fn tenant(&self, name: &str) -> Option<&Tenant> {
-        self.tenants.get(name)
+        self.ids.get(name).map(|&id| &self.slots[id].tenant)
     }
 
     /// Queued (not yet applied) events across all tenants.
     pub fn queued(&self) -> usize {
-        self.queues.values().map(VecDeque::len).sum()
+        self.slots.iter().map(|s| s.queue.len()).sum()
     }
 
     /// The durable-state directory.
@@ -910,5 +973,112 @@ mod tests {
             daemon.counters().reanchor_batches <= daemon.counters().batched_reanchors,
             "batches can never exceed batched re-anchors"
         );
+    }
+
+    #[test]
+    fn pump_takes_one_event_per_ready_tenant_per_round() {
+        const M: usize = 5;
+        const PER_TENANT: usize = 2;
+        for k in [1, 3, M, M + 2] {
+            let d = dir(&format!("ready_ring_{k}"));
+            let (mut daemon, _) = Daemon::open(&d, &model(), DaemonConfig::default()).unwrap();
+            for round in 0..PER_TENANT {
+                for t in 0..M {
+                    daemon.ingest_line(&format!("t{t} a 0 @{round}")).unwrap();
+                }
+            }
+            assert_eq!(daemon.queued(), M * PER_TENANT);
+            assert_eq!(daemon.pump(k as u64).unwrap(), k as u64);
+            // The first round gives min(k, M) tenants one event each, in
+            // the order they became ready; the rest of the budget starts
+            // the next round from the front.
+            for t in 0..M {
+                let want = k / M + usize::from(t < k % M);
+                let got = daemon.tenant(&format!("t{t}")).unwrap().offers();
+                assert_eq!(got, want as u64, "k={k} t{t}");
+            }
+            assert_eq!(daemon.queued(), M * PER_TENANT - k);
+            daemon.drain().unwrap();
+            assert_eq!(daemon.queued(), 0);
+            assert!(daemon.ready.is_empty());
+        }
+    }
+
+    #[test]
+    fn reopened_daemon_keeps_name_order_and_lookups_as_tenants_join() {
+        let d = dir("reopen_order");
+        let m = model();
+        {
+            let (mut daemon, _) = Daemon::open(&d, &m, DaemonConfig::default()).unwrap();
+            for line in ["m a 0", "c a 0", "x a 0", "m a 0", "c a 0", "x a 0"] {
+                daemon.ingest_line(line).unwrap();
+            }
+            daemon.drain().unwrap();
+            // Crash: no shutdown.
+        }
+        let (mut daemon, reports) = Daemon::open(&d, &m, DaemonConfig::default()).unwrap();
+        let recovered: Vec<&str> = reports.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(recovered, ["c", "m", "x"]);
+        daemon.seek_past_durable();
+        for line in ["z a 0", "a a 0", "c a 0", "d a 0"] {
+            daemon.ingest_line(line).unwrap();
+        }
+        daemon.drain().unwrap();
+        let names: Vec<&str> = daemon.tenants().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["a", "c", "d", "m", "x", "z"]);
+        for (name, t) in daemon.tenants() {
+            assert_eq!(t.name(), name);
+            assert!(std::ptr::eq(daemon.tenant(name).unwrap(), t));
+        }
+        assert!(daemon.tenant("nope").is_none());
+        // Fresh events were numbered past the durable prefix (seq 6).
+        assert_eq!(daemon.counters().duplicates, 0);
+        assert_eq!(daemon.tenant("z").unwrap().durable_seq(), 7);
+        assert_eq!(daemon.tenant("a").unwrap().durable_seq(), 8);
+        assert_eq!(daemon.tenant("c").unwrap().durable_seq(), 9);
+        assert_eq!(daemon.tenant("d").unwrap().durable_seq(), 10);
+        // A second seek never moves the counter backwards.
+        daemon.seek_past_durable();
+        daemon.ingest_line("m a 0").unwrap();
+        daemon.drain().unwrap();
+        assert_eq!(daemon.tenant("m").unwrap().durable_seq(), 11);
+        assert!(daemon.accounting().holds());
+    }
+
+    #[test]
+    fn quarantined_tenant_never_completes_its_pending_reanchor() {
+        let d = dir("pending_quarantine");
+        let cfg = DaemonConfig {
+            tenant: TenantConfig {
+                drift_tol: -1.0,
+                check_interval: 1,
+                max_failures: 2,
+                ..TenantConfig::default()
+            },
+            ..DaemonConfig::default()
+        };
+        let (mut daemon, _) = Daemon::open(&d, &model(), cfg).unwrap();
+        // q's arrival defers a re-anchor; then two impossible departures
+        // quarantine it before the pump's batch runs.
+        for line in ["h a 0", "q a 0", "q d 0", "q d 0", "q d 0"] {
+            daemon.ingest_line(line).unwrap();
+        }
+        daemon.drain().unwrap();
+        let q = daemon.tenant("q").unwrap();
+        assert!(q.quarantined());
+        assert!(q.reanchor_pending());
+        assert_eq!(daemon.counters().batched_reanchors, 1, "h only");
+        assert!(daemon.pending.is_empty());
+        for round in 1..=3 {
+            daemon.ingest_line("q a 0").unwrap();
+            daemon.ingest_line("h a 0").unwrap();
+            daemon.drain().unwrap();
+            assert!(daemon.pending.is_empty(), "round {round}");
+            assert_eq!(daemon.counters().batched_reanchors, 1 + round);
+        }
+        let q = daemon.tenant("q").unwrap();
+        assert_eq!(q.engine().stats().re_anchors, 0);
+        assert_eq!(q.counters().shed, 3);
+        assert_eq!(daemon.tenant("h").unwrap().engine().stats().re_anchors, 4);
     }
 }

@@ -120,8 +120,10 @@ fn tail_file(
             let mut chunk = String::new();
             file.read_to_string(&mut chunk)
                 .map_err(|e| ServeError::io(path, &e))?;
+            // The writer may have appended since `len` was read: advance
+            // by what was read, or those bytes would be read twice.
+            offset += chunk.len() as u64;
             buf.push_str(&chunk);
-            offset = len;
             last_progress = Instant::now();
             // Apply every complete line; keep any partial tail for the
             // writer's next append.

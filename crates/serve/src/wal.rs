@@ -92,18 +92,35 @@ const PAYLOAD_LEN: usize = 12;
 /// header itself is garbage (torn write), not a future format.
 const MAX_FRAME: u32 = 1024;
 
-/// IEEE CRC-32 (reflected, polynomial `0xEDB88320`), computed bitwise —
-/// WAL frames are tiny and this keeps the crate dependency-free.
+/// IEEE CRC-32 (reflected, polynomial `0xEDB88320`), one table lookup
+/// per byte — WAL frames and snapshots are its only callers, and this
+/// keeps the crate dependency-free.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc: u32 = !0;
     for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
+}
+
+/// `CRC_TABLE[i]` is the CRC register after shifting byte `i` through
+/// eight rounds of the bitwise algorithm.
+const CRC_TABLE: [u32; 256] = crc_table();
+
+const fn crc_table() -> [u32; 256] {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        table[i] = crc;
+        i += 1;
+    }
+    table
 }
 
 fn encode_payload(rec: &WalRecord) -> [u8; PAYLOAD_LEN] {
@@ -284,6 +301,7 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("xbar_wal_{}_{name}", std::process::id()));
@@ -301,11 +319,36 @@ mod tests {
         }
     }
 
+    /// The bitwise algorithm the table is built from: the oracle.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc: u32 = !0;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
     #[test]
     fn crc32_matches_known_vector() {
         // The canonical IEEE check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn crc32_table_matches_the_bitwise_oracle(
+            bytes in proptest::collection::vec(0u8..=255, 0..300),
+        ) {
+            prop_assert_eq!(crc32(&bytes), crc32_bitwise(&bytes));
+        }
     }
 
     #[test]
