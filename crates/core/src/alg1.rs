@@ -100,8 +100,9 @@ pub trait QScalar: Copy + Send + Sync {
     fn from_ln(x: f64) -> Self;
     /// `true` iff the value is exactly zero (the lattice health check).
     fn is_zero(self) -> bool;
-    /// The ray health check: a scaled `f64` must stay finite and
-    /// positive; extended range is always healthy.
+    /// The ray health check: a scaled `f64` must stay normal and
+    /// positive (a subnormal carries fewer than 53 bits); extended range
+    /// is always healthy.
     fn healthy(self) -> bool;
 
     /// The sweep's recombination primitive:
@@ -153,7 +154,7 @@ impl QScalar for f64 {
         self == 0.0
     }
     fn healthy(self) -> bool {
-        self.is_finite() && self > 0.0
+        self.is_normal() && self > 0.0
     }
     fn combine(base: &[f64], coef: &[f64], a: usize, seed_base: bool) -> Vec<f64> {
         crate::simd::combine_strict(base, coef, a, seed_base)

@@ -185,8 +185,9 @@ mod tests {
     #[test]
     fn sweep_many_matches_solo_solvers_in_order() {
         let mut models = heterogeneous_fleet();
-        // N = 256 escalates past scaled f64 under Auto, so the batch
-        // carries an extended-range member among the scaled ones.
+        // ρ = 0.4 per tuple at N = 256 overflows the scaled rays, so Auto
+        // escalates and the batch carries an extended-range member among
+        // the scaled ones.
         models.push(
             Model::new(
                 Dims::square(256),

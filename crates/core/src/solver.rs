@@ -156,10 +156,11 @@ pub struct Solution {
     measures: SwitchMeasures,
 }
 
-/// `Auto`'s plain-`f64` ceiling: the largest `max N` the paper's "small
-/// switch" regime covers before `Auto` moves to extended range. Shared
-/// with [`crate::sweep::SweepSolver`]'s backend policy.
-pub(crate) const AUTO_F64_MAX_N: u32 = 64;
+/// `Auto`'s plain-`f64` ceiling for a full solve: the largest `max N` the
+/// paper's "small switch" regime covers before `Auto` moves to extended
+/// range. [`crate::sweep::SweepSolver`] does not use it: its `Auto`
+/// tries scaled rays at every `N`.
+const AUTO_F64_MAX_N: u32 = 64;
 
 /// Solve `model` with the requested algorithm.
 pub fn solve(model: &Model, algorithm: Algorithm) -> Result<Solution, SolveError> {

@@ -38,14 +38,20 @@
 //! [`QScalar`] trait: scaled `f64` (the §6 geometric schedule, same
 //! `ln c` as `ScaledQLattice`) and [`ExtFloat`]. Precomputes, point
 //! solves and gradients are one generic code path for both.
-//! `Algorithm::Auto` picks scaled for small switches and escalates to
-//! extended-range if the scaled rays leave their operating envelope.
+//! `Algorithm::Auto` tries the scaled rays at every `N` — the largest
+//! scaled ray value is about `e^{2N/e}`, in `f64` range up to
+//! `N ≈ 960` at light load — and falls back to extended range only where
+//! a scaled ray leaves its operating envelope: a whole precompute, or a
+//! single recombination, which is then redone against extended-range
+//! rays built once per solver on first need.
 //!
 //! The same partials yield the §4 sensitivity gradients **exactly**:
 //! differentiating `Φ_r` term-by-term gives `∂Q/∂ρ_s` and `∂Q/∂y_s`
 //! rays, and the blocking/concurrency/revenue gradients follow from the
 //! chain rule through the `E_r` recursion — no finite differences and no
 //! extra solves (see [`SweepSolver::gradients`]).
+
+use std::sync::OnceLock;
 
 use xbar_numeric::{permutation, ExtFloat};
 use xbar_traffic::{TrafficClass, Workload};
@@ -55,7 +61,7 @@ use crate::measures::{
     measures, measures_at, revenue_gradient_rho_closed, shadow_cost, SwitchMeasures,
 };
 use crate::model::{Dims, Model};
-use crate::solver::{Algorithm, SolveError, AUTO_F64_MAX_N};
+use crate::solver::{Algorithm, SolveError};
 
 /// The normalised lattice restricted to the main diagonal ray
 /// `(N1 − d, N2 − d)`, `d = 0..=C`, `C = min(N1, N2)`.
@@ -251,45 +257,63 @@ enum Repr {
 /// ```
 pub struct SweepSolver {
     base: Model,
-    algorithm: Algorithm,
+    /// Whether scaled rays fall back to extended range (an `Auto`
+    /// request) instead of failing.
+    auto: bool,
     repr: Repr,
+    /// `Auto`'s extended-range rays of `base`, built on the first scaled
+    /// point or gradient that leaves the envelope and shared by every
+    /// later one.
+    fallback: OnceLock<Rays<ExtFloat>>,
 }
 
 impl SweepSolver {
     /// Precompute the leave-one-out partial rays for `model`.
     ///
-    /// Backend policy mirrors [`solve`](crate::solve): `Alg1F64` and
-    /// `Alg1Scaled` use the scaled-`f64` rays (failing with
-    /// [`SolveError::Underflow`] if they leave the operating envelope),
-    /// everything else uses extended range; `Auto` picks scaled for
-    /// `max N ≤ 64` and silently escalates to extended range when the
-    /// scaled rays are unhealthy (counted as `sweep.escalate`).
+    /// `Alg1F64`, `Alg1Scaled` and `Auto` build scaled-`f64` rays at
+    /// every `N`; everything else builds extended range. An explicit
+    /// scaled request fails with [`SolveError::Underflow`] where the
+    /// scaled rays leave their operating envelope, at precompute or at
+    /// a recombination. `Auto` falls back to extended range instead: an
+    /// unhealthy precompute is rebuilt in extended range, and an
+    /// unhealthy recombination is redone against extended-range rays of
+    /// the base model, built once per solver on first need. Either
+    /// fallback counts `sweep.escalate` once.
     pub fn new(model: &Model, algorithm: Algorithm) -> Result<Self, SolveError> {
-        let scaled_first = match algorithm {
-            Algorithm::Alg1F64 | Algorithm::Alg1Scaled => true,
-            Algorithm::Auto => model.dims().max_n() <= AUTO_F64_MAX_N,
-            _ => false,
+        Self::with_scale(model, algorithm, scale_ln_c(model.dims()))
+    }
+
+    /// [`SweepSolver::new`] with the scaled rays' `ln c` given.
+    fn with_scale(model: &Model, algorithm: Algorithm, ln_c: f64) -> Result<Self, SolveError> {
+        let auto = matches!(algorithm, Algorithm::Auto);
+        let scaled_first = auto || matches!(algorithm, Algorithm::Alg1F64 | Algorithm::Alg1Scaled);
+        let solver = |repr| Self {
+            base: model.clone(),
+            auto,
+            repr,
+            fallback: OnceLock::new(),
         };
         xbar_obs::time("sweep.precompute", || {
             if scaled_first {
-                let rays = Rays::<f64>::build(model, scale_ln_c(model.dims()));
+                let rays = Rays::<f64>::build(model, ln_c);
                 if rays.is_healthy() {
-                    return Ok(Self {
-                        base: model.clone(),
-                        algorithm: Algorithm::Alg1Scaled,
-                        repr: Repr::Scaled(rays),
-                    });
+                    return Ok(solver(Repr::Scaled(rays)));
                 }
-                if !matches!(algorithm, Algorithm::Auto) {
+                if !auto {
                     return Err(SolveError::Underflow(Algorithm::Alg1Scaled));
                 }
                 xbar_obs::inc("sweep.escalate");
             }
-            Ok(Self {
-                base: model.clone(),
-                algorithm: Algorithm::Alg1Ext,
-                repr: Repr::Ext(Rays::build(model, 0.0)),
-            })
+            Ok(solver(Repr::Ext(Rays::build(model, 0.0))))
+        })
+    }
+
+    /// `Auto`'s extended-range rays of the base model, built on first
+    /// use (counted as `sweep.escalate`).
+    fn fallback(&self) -> &Rays<ExtFloat> {
+        self.fallback.get_or_init(|| {
+            xbar_obs::inc("sweep.escalate");
+            Rays::build(&self.base, 0.0)
         })
     }
 
@@ -298,9 +322,14 @@ impl SweepSolver {
         &self.base
     }
 
-    /// The effective backend (`Alg1Scaled` or `Alg1Ext`).
+    /// The backend of the precompute (`Alg1Scaled` or `Alg1Ext`). Under
+    /// `Auto` a point solve may still report `Alg1Ext` where its scaled
+    /// recombination fell back (see [`SweepSolution::algorithm`]).
     pub fn algorithm(&self) -> Algorithm {
-        self.algorithm
+        match self.repr {
+            Repr::Scaled(_) => Algorithm::Alg1Scaled,
+            Repr::Ext(_) => Algorithm::Alg1Ext,
+        }
     }
 
     /// Solve the *base* model (no edit) from the cached full ray.
@@ -360,13 +389,22 @@ impl SweepSolver {
     }
 
     /// Measures of `model` from [`Rays::point`] in whichever backend the
-    /// precompute settled on.
+    /// precompute settled on; under `Auto` an unhealthy scaled point is
+    /// redone on the extended-range fallback rays.
     fn solve_point(&self, model: Model, edit: Option<usize>) -> Result<SweepSolution, SolveError> {
         let ray = match &self.repr {
-            Repr::Scaled(rays) => RayRepr::Scaled(rays.point(&model, edit)?),
+            Repr::Scaled(rays) => match rays.point(&model, edit) {
+                Ok(ray) => RayRepr::Scaled(ray),
+                Err(_) if self.auto => RayRepr::Ext(self.fallback().point(&model, edit)?),
+                Err(e) => return Err(e),
+            },
             Repr::Ext(rays) => RayRepr::Ext(rays.point(&model, edit)?),
         };
-        SweepSolution::from_ray(model, self.algorithm, ray)
+        let algorithm = match ray {
+            RayRepr::Scaled(_) => Algorithm::Alg1Scaled,
+            RayRepr::Ext(_) => Algorithm::Alg1Ext,
+        };
+        SweepSolution::from_ray(model, algorithm, ray)
     }
 
     /// Exact §4 sensitivity gradients of the *base* model with respect
@@ -386,10 +424,21 @@ impl SweepSolver {
     ///   ratio `h_t` perturbed by `h_t·(L_θ(d_t + a_r) − L_θ(d_t))` plus
     ///   the direct `∂λ_r/∂θ` drive when `r = s`;
     /// * `∂W/∂θ = Σ_r w_r · ∂E_r/∂θ`.
+    ///
+    /// Under `Auto`, gradients that come out non-finite on scaled rays
+    /// (a derivative ray overflowed) are redone on the extended-range
+    /// fallback rays.
     pub fn gradients(&self, s: usize) -> SweepGradients {
         xbar_obs::inc("sweep.gradients");
         match &self.repr {
-            Repr::Scaled(rays) => gradients_impl(&self.base, &rays.full, &rays.loo[s], s),
+            Repr::Scaled(rays) => {
+                let g = gradients_impl(&self.base, &rays.full, &rays.loo[s], s);
+                if !self.auto || g.is_finite() {
+                    return g;
+                }
+                let ext = self.fallback();
+                gradients_impl(&self.base, &ext.full, &ext.loo[s], s)
+            }
             Repr::Ext(rays) => gradients_impl(&self.base, &rays.full, &rays.loo[s], s),
         }
     }
@@ -739,6 +788,21 @@ pub struct SweepGradients {
     pub revenue_by_rho: f64,
     /// `∂W/∂y_s` — revenue w.r.t. peakedness.
     pub revenue_by_beta: f64,
+}
+
+impl SweepGradients {
+    fn is_finite(&self) -> bool {
+        [
+            &self.nonblocking_by_rho,
+            &self.nonblocking_by_beta,
+            &self.concurrency_by_rho,
+            &self.concurrency_by_beta,
+        ]
+        .iter()
+        .flat_map(|v| v.iter())
+        .chain([&self.revenue_by_rho, &self.revenue_by_beta])
+        .all(|x| x.is_finite())
+    }
 }
 
 enum RayRepr {
@@ -1206,6 +1270,132 @@ mod tests {
             (THREADS * CALLS_PER_THREAD) as u64,
             "every solver() call counts exactly one of build/reuse"
         );
+    }
+
+    /// The light base of the recombination-fallback tests: scaled rays
+    /// stay healthy at precompute, so only heavy edits leave the envelope.
+    fn light_n64() -> Model {
+        let w = Workload::new()
+            .with(TrafficClass::poisson(1e-3))
+            .with(TrafficClass::bpp(1e-3, 1e-4, 1.0));
+        Model::new(Dims::square(64), w).unwrap()
+    }
+
+    #[test]
+    fn auto_sweep_redoes_an_overflowing_recombination_in_ext() {
+        let model = light_n64();
+        let auto = SweepSolver::new(&model, Algorithm::Auto).unwrap();
+        assert_eq!(auto.algorithm(), Algorithm::Alg1Scaled);
+        // ρ = 1e4 overflows the scaled Φ̂ series of the recombination.
+        let point = auto.solve_with_rho(0, 1e4).unwrap();
+        assert_eq!(point.algorithm(), Algorithm::Alg1Ext);
+        let ext = SweepSolver::new(&model, Algorithm::Alg1Ext).unwrap();
+        let want = ext.solve_with_rho(0, 1e4).unwrap();
+        for r in 0..model.num_classes() {
+            close(point.nonblocking(r), want.nonblocking(r), 1e-10);
+            close(point.concurrency(r), want.concurrency(r), 1e-10);
+        }
+        close(point.revenue(), want.revenue(), 1e-10);
+        // An explicit scaled request still fails hard.
+        let scaled = SweepSolver::new(&model, Algorithm::Alg1Scaled).unwrap();
+        assert!(matches!(
+            scaled.solve_with_rho(0, 1e4),
+            Err(SolveError::Underflow(Algorithm::Alg1Scaled))
+        ));
+    }
+
+    #[test]
+    fn auto_sweep_builds_the_ext_fallback_once_per_solver() {
+        let reg = std::sync::Arc::new(xbar_obs::Registry::new());
+        let _g = xbar_obs::scope(&reg);
+        let auto = SweepSolver::new(&light_n64(), Algorithm::Auto).unwrap();
+        assert_eq!(reg.snapshot().counter("sweep.escalate"), None);
+        for rho in [1e4, 3e4] {
+            let point = auto.solve_with_rho(0, rho).unwrap();
+            assert_eq!(point.algorithm(), Algorithm::Alg1Ext);
+        }
+        let point = auto.solve_with_beta_over_mu(1, 1e4).unwrap();
+        assert_eq!(point.algorithm(), Algorithm::Alg1Ext);
+        assert_eq!(reg.snapshot().counter("sweep.escalate"), Some(1));
+    }
+
+    #[test]
+    fn auto_sweep_light_points_stay_scaled_after_a_fallback() {
+        let model = light_n64();
+        let auto = SweepSolver::new(&model, Algorithm::Auto).unwrap();
+        let scaled = SweepSolver::new(&model, Algorithm::Alg1Scaled).unwrap();
+        auto.solve_with_rho(0, 1e4).unwrap();
+        for rho in [5e-4, 2e-3, 1e-2] {
+            let point = auto.solve_with_rho(0, rho).unwrap();
+            assert_eq!(point.algorithm(), Algorithm::Alg1Scaled);
+            let want = scaled.solve_with_rho(0, rho).unwrap();
+            for r in 0..model.num_classes() {
+                assert_eq!(
+                    point.nonblocking(r).to_bits(),
+                    want.nonblocking(r).to_bits()
+                );
+            }
+        }
+        assert_eq!(
+            auto.solve_base().unwrap().algorithm(),
+            Algorithm::Alg1Scaled
+        );
+    }
+
+    #[test]
+    fn subnormal_ray_value_is_unhealthy_and_auto_sweep_escalates() {
+        assert!(!(f64::MIN_POSITIVE / 2.0).healthy());
+        assert!(f64::MIN_POSITIVE.healthy());
+        let model = mixed_model(8, 8);
+        // A scale far below §6's puts Q̂(8, 8) = Q(8, 8)·c^16 near e^-720,
+        // among the subnormals, while the rest of the ray stays normal.
+        let q_top = Rays::<f64>::build(&model, 0.0).full.vals[0];
+        let ln_c = (-720.0 - q_top.ln()) / 16.0;
+        let rays = Rays::<f64>::build(&model, ln_c);
+        assert!(rays.full.vals[0].is_subnormal());
+        assert!(rays.full.vals[1..].iter().all(|v| v.is_normal()));
+        assert!(!rays.is_healthy());
+        let reg = std::sync::Arc::new(xbar_obs::Registry::new());
+        let _g = xbar_obs::scope(&reg);
+        let auto = SweepSolver::with_scale(&model, Algorithm::Auto, ln_c).unwrap();
+        assert_eq!(auto.algorithm(), Algorithm::Alg1Ext);
+        assert_eq!(reg.snapshot().counter("sweep.escalate"), Some(1));
+        assert_matches_solution(
+            &auto.solve_base().unwrap(),
+            &model,
+            Algorithm::Alg1Ext,
+            1e-10,
+        );
+        assert!(matches!(
+            SweepSolver::with_scale(&model, Algorithm::Alg1Scaled, ln_c),
+            Err(SolveError::Underflow(Algorithm::Alg1Scaled))
+        ));
+    }
+
+    #[test]
+    fn auto_sweep_gradients_fall_back_where_scaled_derivatives_overflow() {
+        // ρ = 5 at N = 128 keeps the scaled rays healthy (largest value
+        // near e^704), but the ρ-derivative ray overflows.
+        let w = Workload::new()
+            .with(TrafficClass::poisson(5.0))
+            .with(TrafficClass::poisson(1e-3));
+        let model = Model::new(Dims::square(128), w).unwrap();
+        let scaled = SweepSolver::new(&model, Algorithm::Alg1Scaled).unwrap();
+        assert!(!scaled.gradients(0).is_finite());
+        let reg = std::sync::Arc::new(xbar_obs::Registry::new());
+        let _g = xbar_obs::scope(&reg);
+        let auto = SweepSolver::new(&model, Algorithm::Auto).unwrap();
+        assert_eq!(auto.algorithm(), Algorithm::Alg1Scaled);
+        let got = auto.gradients(0);
+        let want = SweepSolver::new(&model, Algorithm::Alg1Ext)
+            .unwrap()
+            .gradients(0);
+        assert_eq!(got.revenue_by_rho.to_bits(), want.revenue_by_rho.to_bits());
+        assert_eq!(
+            got.revenue_by_beta.to_bits(),
+            want.revenue_by_beta.to_bits()
+        );
+        assert_eq!(reg.snapshot().counter("sweep.escalate"), Some(1));
     }
 
     #[test]

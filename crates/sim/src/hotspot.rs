@@ -78,6 +78,8 @@ impl HotspotSim {
         // λ per pair, and the hot output sees that plus the redirected mass.
         let mut busy_in = vec![false; n1];
         let mut busy_out = vec![false; n2];
+        // Busy outputs other than `hot`, kept on accept and depart.
+        let mut cold_busy = 0usize;
         // A departure carries the (input, output) pair it releases.
         let mut cal: Calendar<Option<(usize, usize)>> = Calendar::new();
         let end_total = warmup + duration;
@@ -107,7 +109,6 @@ impl HotspotSim {
                     if busy_out[hot] {
                         hot_busy_time += dt;
                     }
-                    let cold_busy = busy_out.iter().skip(1).filter(|&&b| b).count();
                     cold_busy_time += cold_busy as f64 * dt;
                 }
             },
@@ -115,6 +116,9 @@ impl HotspotSim {
             if let Some((i, o)) = fired {
                 busy_in[i] = false;
                 busy_out[o] = false;
+                if o != hot {
+                    cold_busy -= 1;
+                }
                 continue;
             }
             let now = cal.now();
@@ -141,6 +145,9 @@ impl HotspotSim {
             if accepted {
                 busy_in[input] = true;
                 busy_out[output] = true;
+                if output != hot {
+                    cold_busy += 1;
+                }
                 let hold = cfg.service.sample(&mut self.rng);
                 cal.schedule(hold, Some((input, output)));
             }

@@ -513,6 +513,75 @@ fn brute_force_plan(space: &DesignSpace) -> Option<(u64, f64)> {
     best
 }
 
+/// Tier 4b: `Auto` sweeps at plan-grid loads and geometries stay on the
+/// scaled-`f64` rays at every `N`, and agree with extended range on the
+/// recombined measures and on the exact gradients.
+#[test]
+fn auto_sweep_stays_scaled_and_matches_ext_at_plan_grid_loads() {
+    let check = |what: &str, n: u32, got: f64, want: f64| {
+        assert!(
+            close(got, want, 1e-10),
+            "N = {n} {what}: scaled {got} vs ext {want}"
+        );
+    };
+    for n in [96u32, 192, 320, 512] {
+        let w = Workload::new()
+            .with(TrafficClass::poisson(5e-5))
+            .with(TrafficClass::bpp(2e-5, 1e-6, 1.0).with_weight(1.5))
+            .with(
+                TrafficClass::poisson(5e-11)
+                    .with_bandwidth(2)
+                    .with_weight(4.0),
+            );
+        let model = Model::new(Dims::square(n), w).unwrap();
+        let auto = SweepSolver::new(&model, Algorithm::Auto).unwrap();
+        assert_eq!(auto.algorithm(), Algorithm::Alg1Scaled, "N = {n}");
+        let ext = SweepSolver::new(&model, Algorithm::Alg1Ext).unwrap();
+        let edits = [(0, 5e-6), (0, 2e-4), (2, 1e-11), (2, 2e-10)];
+        for (r, rho) in edits {
+            let got = auto.solve_with_rho(r, rho).unwrap();
+            assert_eq!(got.algorithm(), Algorithm::Alg1Scaled, "N = {n}");
+            let want = ext.solve_with_rho(r, rho).unwrap();
+            for q in 0..model.num_classes() {
+                check("B", n, got.nonblocking(q), want.nonblocking(q));
+                check("E", n, got.concurrency(q), want.concurrency(q));
+            }
+            check("W", n, got.revenue(), want.revenue());
+        }
+        for s in 0..model.num_classes() {
+            let (got, want) = (auto.gradients(s), ext.gradients(s));
+            for q in 0..model.num_classes() {
+                check(
+                    "dB/drho",
+                    n,
+                    got.nonblocking_by_rho[q],
+                    want.nonblocking_by_rho[q],
+                );
+                check(
+                    "dB/dy",
+                    n,
+                    got.nonblocking_by_beta[q],
+                    want.nonblocking_by_beta[q],
+                );
+                check(
+                    "dE/drho",
+                    n,
+                    got.concurrency_by_rho[q],
+                    want.concurrency_by_rho[q],
+                );
+                check(
+                    "dE/dy",
+                    n,
+                    got.concurrency_by_beta[q],
+                    want.concurrency_by_beta[q],
+                );
+            }
+            check("dW/drho", n, got.revenue_by_rho, want.revenue_by_rho);
+            check("dW/dy", n, got.revenue_by_beta, want.revenue_by_beta);
+        }
+    }
+}
+
 /// Tier 3: a *policy-constrained* replay against the numerically solved
 /// reservation chain — the trunk-reservation engine must reproduce the
 /// per-class acceptance of [`solve_policy`] within its 99% CI.
