@@ -1,6 +1,5 @@
 //! The asynchronous crossbar discrete-event simulator.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use rand::rngs::StdRng;
@@ -206,18 +205,82 @@ pub struct SimReport {
     pub faults: Option<FaultReport>,
 }
 
+/// Owner-array entry of a port that no circuit holds.
+const IDLE: u32 = u32::MAX;
+
+/// A slot's record in the circuit slab. `generation` counts the circuits
+/// the slot has held and released; a departure carries the generation of
+/// the circuit it ends, so one scheduled for an earlier occupant no longer
+/// matches.
+#[derive(Clone, Copy)]
 struct LiveConn {
-    class: usize,
-    inputs: Vec<u32>,
-    outputs: Vec<u32>,
+    class: u32,
+    generation: u32,
+}
+
+/// The live circuits: a slab of [`LiveConn`] records, a flat port arena
+/// holding slot `s`'s `a` inputs then `a` outputs from `s·stride`
+/// (`stride = 2·max a`), and a free list of released slots. At most
+/// `min(N1, N2)` circuits are live, so the slab stops growing early and
+/// opening or closing a circuit allocates nothing after that.
+struct Circuits {
+    conns: Vec<LiveConn>,
+    ports: Vec<u32>,
+    stride: usize,
+    free: Vec<u32>,
+}
+
+impl Circuits {
+    fn new(stride: usize) -> Self {
+        Circuits {
+            conns: Vec::new(),
+            ports: Vec::new(),
+            stride,
+            free: Vec::new(),
+        }
+    }
+
+    /// Store a class-`class` circuit holding `ports` (inputs then
+    /// outputs) and return its slot and generation.
+    fn open(&mut self, class: usize, ports: &[u32]) -> (u32, u32) {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.conns.push(LiveConn {
+                class: 0,
+                generation: 0,
+            });
+            self.ports.resize(self.conns.len() * self.stride, IDLE);
+            (self.conns.len() - 1) as u32
+        });
+        let conn = &mut self.conns[slot as usize];
+        conn.class = class as u32;
+        let base = slot as usize * self.stride;
+        self.ports[base..base + ports.len()].copy_from_slice(ports);
+        (slot, conn.generation)
+    }
+
+    /// Release `slot`, whose circuit has `a` ports per side, and return
+    /// the ports it held. A departure carrying the old generation is stale
+    /// from here on.
+    fn close(&mut self, slot: u32, a: usize) -> &[u32] {
+        let conn = &mut self.conns[slot as usize];
+        conn.generation = conn.generation.wrapping_add(1);
+        self.free.push(slot);
+        self.held(slot, a)
+    }
+
+    /// The `a` inputs then `a` outputs stored for `slot`.
+    fn held(&self, slot: u32, a: usize) -> &[u32] {
+        let base = slot as usize * self.stride;
+        &self.ports[base..base + 2 * a]
+    }
 }
 
 /// What fires in the event loop: the arrival and port-fault clocks, or a
-/// scheduled departure keyed by its connection id.
+/// scheduled departure carrying its circuit's slot and generation.
 enum Ev {
     Arrival,
     Fault,
-    Departure(u64),
+    Departure(u32, u32),
 }
 
 /// Per-class batch accumulators.
@@ -230,27 +293,31 @@ struct ClassBatch {
     avail_time: f64, // ∫ P(tuple idle ∧ working) dt
 }
 
-/// Draw `count` distinct indices in `0..busy.len()`, reporting whether all
-/// were idle in `busy` and whether all were working per `failed`. The
-/// drawing consumes the same RNG stream regardless of port state.
+/// Draw `count` distinct ports in `0..failed.len()` and append them to
+/// `picked`, reporting whether all were idle (`busy` false) and whether
+/// all were working per `failed`. Repeats are checked only against this
+/// draw's ports, so one buffer can take a tuple's inputs and then its
+/// outputs. The drawing consumes the same RNG stream regardless of port
+/// state.
 pub(crate) fn draw_ports(
     rng: &mut StdRng,
-    busy: &[bool],
+    busy: impl Fn(usize) -> bool,
     failed: &[bool],
     count: u32,
-) -> (Vec<u32>, bool, bool) {
-    let n = busy.len();
+    picked: &mut Vec<u32>,
+) -> (bool, bool) {
+    let n = failed.len();
+    let start = picked.len();
     // Rejection of repeats: for the small port counts here that is
     // cheaper than fancier sampling.
-    let mut picked = Vec::with_capacity(count as usize);
     let mut all_free = true;
     let mut all_working = true;
-    while picked.len() < count as usize {
+    while picked.len() - start < count as usize {
         let cand = rng.gen_range(0..n) as u32;
-        if picked.contains(&cand) {
+        if picked[start..].contains(&cand) {
             continue;
         }
-        if busy[cand as usize] {
+        if busy(cand as usize) {
             all_free = false;
         }
         if failed[cand as usize] {
@@ -258,21 +325,27 @@ pub(crate) fn draw_ports(
         }
         picked.push(cand);
     }
-    (picked, all_free, all_working)
+    (all_free, all_working)
 }
 
 /// The simulator.
 pub struct CrossbarSim {
     cfg: SimConfig,
     rng: StdRng,
-    busy_in: Vec<bool>,
-    busy_out: Vec<bool>,
+    /// Per-input owner: the slot of the circuit holding the port, or
+    /// [`IDLE`]. A failing port finds its circuit here in O(1).
+    owner_in: Vec<u32>,
+    /// Per-output owner, as `owner_in`.
+    owner_out: Vec<u32>,
     /// Total busy inputs (= busy outputs, since every connection takes
     /// `a_r` of each).
     occupancy: u32,
     k: Vec<u64>,
-    live: HashMap<u64, LiveConn>,
-    next_conn: u64,
+    /// The live circuits, by slot.
+    live: Circuits,
+    /// The arrival's drawn tuple (inputs then outputs), reused across
+    /// arrivals.
+    drawn: Vec<u32>,
     cal: Calendar<Ev>,
     /// `P(N1,a_r)·P(N2,a_r)` per class: the ordered-tuple count the
     /// aggregate arrival rate is proportional to (see crate docs).
@@ -356,13 +429,19 @@ impl CrossbarSim {
             })
             .collect();
         let r = cfg.classes.len();
+        let max_a = cfg
+            .classes
+            .iter()
+            .map(|(c, _)| c.bandwidth)
+            .max()
+            .unwrap_or(0);
         Ok(CrossbarSim {
-            busy_in: vec![false; cfg.n1 as usize],
-            busy_out: vec![false; cfg.n2 as usize],
+            owner_in: vec![IDLE; cfg.n1 as usize],
+            owner_out: vec![IDLE; cfg.n2 as usize],
             occupancy: 0,
             k: vec![0; r],
-            live: HashMap::new(),
-            next_conn: 0,
+            live: Circuits::new(2 * max_a as usize),
+            drawn: Vec::new(),
             cal: Calendar::new(),
             rng: StdRng::seed_from_u64(seed),
             tuple_count,
@@ -403,8 +482,8 @@ impl CrossbarSim {
 
         let t0 = self.cal.now();
         let batch_len = run.duration / run.batches as f64;
-        let mut batches: Vec<Vec<ClassBatch>> =
-            vec![vec![ClassBatch::default(); r_count]; run.batches];
+        // Batch `b`'s per-class accumulators, one row of `r_count`.
+        let mut batches = vec![ClassBatch::default(); run.batches * r_count];
         let mut occupancy_time = vec![0.0f64; self.cfg.n1.min(self.cfg.n2) as usize + 1];
         // Fault accounting: window-only deltas via snapshots, plus
         // time-integrals of the failed-port counts.
@@ -432,18 +511,27 @@ impl CrossbarSim {
             } => {
                 failed_in_time += failed_in as f64 * (to - from);
                 failed_out_time += failed_out as f64 * (to - from);
-                // Split [from, to) across batch boundaries.
+                // Split [from, to) across batch boundaries. The last batch
+                // runs to `to`: its boundary can round below the end of
+                // the window, and recomputing the batch from `cur` would
+                // then stall there.
                 let mut cur = from;
+                let mut b = batch_of(from);
                 while cur < to {
-                    let b = batch_of(cur);
-                    let stop = (t0 + (b + 1) as f64 * batch_len).min(to);
+                    let stop = if b + 1 < run.batches {
+                        (t0 + (b + 1) as f64 * batch_len).min(to)
+                    } else {
+                        to
+                    };
                     let dt = stop - cur;
-                    for r in 0..r_count {
-                        batches[b][r].k_time += k[r] as f64 * dt;
-                        batches[b][r].avail_time += avail[r] * dt;
+                    let row = &mut batches[b * r_count..(b + 1) * r_count];
+                    for ((cb, &k), &avail) in row.iter_mut().zip(k).zip(avail) {
+                        cb.k_time += k as f64 * dt;
+                        cb.avail_time += avail * dt;
                     }
                     occupancy_time[occ as usize] += dt;
                     cur = stop;
+                    b += 1;
                 }
             }
             Record::Offered {
@@ -452,13 +540,13 @@ impl CrossbarSim {
                 blocked,
                 fault_blocked,
             } => {
-                let b = batch_of(at);
-                batches[b][class].offered += 1;
+                let cb = &mut batches[batch_of(at) * r_count + class];
+                cb.offered += 1;
                 if blocked {
-                    batches[b][class].blocked += 1;
+                    cb.blocked += 1;
                 }
                 if fault_blocked {
-                    batches[b][class].fault_blocked += 1;
+                    cb.fault_blocked += 1;
                 }
             }
         });
@@ -468,7 +556,7 @@ impl CrossbarSim {
         let mut revenue = 0.0;
         let mut fault_blocked_total = 0u64;
         for r in 0..r_count {
-            let cbs = || batches.iter().map(|b| &b[r]);
+            let cbs = || batches.chunks(r_count).map(|b| &b[r]);
             let offered: u64 = cbs().map(|cb| cb.offered).sum();
             let blocked: u64 = cbs().map(|cb| cb.blocked).sum();
             let fault_blocked: u64 = cbs().map(|cb| cb.fault_blocked).sum();
@@ -533,35 +621,66 @@ impl CrossbarSim {
         }
     }
 
-    /// Tear down the (at most one — ports are held exclusively) live
-    /// circuit occupying the just-failed port. Its scheduled departure
-    /// stays in the calendar as a stale entry the event loop skips.
-    fn tear_down_port(&mut self, side: Side, port: u32) {
-        let victim = self.live.iter().find_map(|(&id, conn)| {
-            let ports = match side {
-                Side::Input => &conn.inputs,
-                Side::Output => &conn.outputs,
-            };
-            ports.contains(&port).then_some(id)
-        });
-        if let Some(conn) = victim.and_then(|id| self.live.remove(&id)) {
-            self.torn_down += 1;
-            self.release(conn);
+    /// Connect the just-drawn tuple in `drawn` as a class-`class`
+    /// circuit and return its slot and generation.
+    fn connect(&mut self, class: usize) -> (u32, u32) {
+        let a = self.cfg.classes[class].0.bandwidth;
+        let (slot, generation) = self.live.open(class, &self.drawn);
+        let (inputs, outputs) = self.drawn.split_at(a as usize);
+        for &i in inputs {
+            self.owner_in[i as usize] = slot;
+        }
+        for &o in outputs {
+            self.owner_out[o as usize] = slot;
+        }
+        self.occupancy += a;
+        self.k[class] += 1;
+        self.refresh_class_rate(class);
+        self.refresh_avail();
+        (slot, generation)
+    }
+
+    /// End the circuit in `slot` if it is still the one of `generation`.
+    /// A circuit torn down by a port failure leaves its departure behind
+    /// as a stale calendar entry, and by then the slot's generation has
+    /// moved on: the entry is skipped.
+    fn depart(&mut self, slot: u32, generation: u32) {
+        if self.live.conns[slot as usize].generation == generation {
+            self.release(slot);
         }
     }
 
-    /// Free a finished or torn-down circuit's ports and refresh the
-    /// resident rates it moved.
-    fn release(&mut self, conn: LiveConn) {
-        for &i in &conn.inputs {
-            self.busy_in[i as usize] = false;
+    /// Tear down the (at most one — ports are held exclusively) live
+    /// circuit occupying the just-failed port, found through the port's
+    /// owner entry, in O(a). Its scheduled departure stays in the
+    /// calendar and goes stale.
+    fn tear_down_port(&mut self, side: Side, port: u32) {
+        let owner = match side {
+            Side::Input => self.owner_in[port as usize],
+            Side::Output => self.owner_out[port as usize],
+        };
+        if owner != IDLE {
+            self.torn_down += 1;
+            self.release(owner);
         }
-        for &o in &conn.outputs {
-            self.busy_out[o as usize] = false;
+    }
+
+    /// Free a finished or torn-down circuit's slot and ports and refresh
+    /// the resident rates it moved.
+    fn release(&mut self, slot: u32) {
+        let class = self.live.conns[slot as usize].class as usize;
+        let a = self.cfg.classes[class].0.bandwidth;
+        let ports = self.live.close(slot, a as usize);
+        let (inputs, outputs) = ports.split_at(a as usize);
+        for &i in inputs {
+            self.owner_in[i as usize] = IDLE;
         }
-        self.occupancy -= self.cfg.classes[conn.class].0.bandwidth;
-        self.k[conn.class] -= 1;
-        self.refresh_class_rate(conn.class);
+        for &o in outputs {
+            self.owner_out[o as usize] = IDLE;
+        }
+        self.occupancy -= a;
+        self.k[class] -= 1;
+        self.refresh_class_rate(class);
         self.refresh_avail();
     }
 
@@ -643,22 +762,27 @@ impl CrossbarSim {
                     // Both failures and repairs move the failed-port counts.
                     self.refresh_avail();
                 }
-                Ev::Departure(connection) => {
-                    // A circuit torn down by a port failure leaves its
-                    // departure behind as a stale calendar entry: skip it.
-                    if let Some(conn) = self.live.remove(&connection) {
-                        self.release(conn);
-                    }
-                }
+                Ev::Departure(slot, generation) => self.depart(slot, generation),
                 Ev::Arrival => {
                     // Pick the class proportional to its rate.
                     let pick = self.rng.gen::<f64>() * total_rate;
                     let class = self.arr_rates.select(pick);
                     let a = self.cfg.classes[class].0.bandwidth;
-                    let (inputs, in_free, in_working) =
-                        draw_ports(&mut self.rng, &self.busy_in, &self.faults.failed_in, a);
-                    let (outputs, out_free, out_working) =
-                        draw_ports(&mut self.rng, &self.busy_out, &self.faults.failed_out, a);
+                    self.drawn.clear();
+                    let (in_free, in_working) = draw_ports(
+                        &mut self.rng,
+                        |i| self.owner_in[i] != IDLE,
+                        &self.faults.failed_in,
+                        a,
+                        &mut self.drawn,
+                    );
+                    let (out_free, out_working) = draw_ports(
+                        &mut self.rng,
+                        |o| self.owner_out[o] != IDLE,
+                        &self.faults.failed_out,
+                        a,
+                        &mut self.drawn,
+                    );
                     let working = in_working && out_working;
                     let accepted = in_free && out_free && working;
                     record(Record::Offered {
@@ -668,28 +792,9 @@ impl CrossbarSim {
                         fault_blocked: !working,
                     });
                     if accepted {
-                        for &i in &inputs {
-                            self.busy_in[i as usize] = true;
-                        }
-                        for &o in &outputs {
-                            self.busy_out[o as usize] = true;
-                        }
-                        self.occupancy += a;
-                        self.k[class] += 1;
-                        self.refresh_class_rate(class);
-                        self.refresh_avail();
-                        let id = self.next_conn;
-                        self.next_conn += 1;
-                        self.live.insert(
-                            id,
-                            LiveConn {
-                                class,
-                                inputs,
-                                outputs,
-                            },
-                        );
+                        let (slot, generation) = self.connect(class);
                         let hold = self.cfg.classes[class].1.sample(&mut self.rng);
-                        self.cal.schedule(hold, Ev::Departure(id));
+                        self.cal.schedule(hold, Ev::Departure(slot, generation));
                     }
                 }
             }
@@ -1011,6 +1116,124 @@ mod tests {
         assert_eq!(c.offered, c.accepted + c.blocked);
         assert!(c.fault_blocked <= c.blocked);
         assert!(c.accepted > 0);
+    }
+
+    /// A 4×4 switch with an `a = 1` class 0 and an `a = 2` class 1.
+    fn two_width_sim() -> CrossbarSim {
+        let cfg = SimConfig::new(4, 4)
+            .with_exp_class(TrafficClass::poisson(0.1))
+            .with_exp_class(TrafficClass::poisson(0.01).with_bandwidth(2));
+        CrossbarSim::new(cfg, 0)
+    }
+
+    /// Connect `ports` (inputs then outputs) as a class-`class` circuit,
+    /// as an accepted arrival does, returning its slot and generation.
+    fn connect(sim: &mut CrossbarSim, class: usize, ports: &[u32]) -> (u32, u32) {
+        sim.drawn.clear();
+        sim.drawn.extend_from_slice(ports);
+        sim.connect(class)
+    }
+
+    #[test]
+    fn failing_one_port_of_a_wide_circuit_frees_all_its_ports() {
+        let mut sim = two_width_sim();
+        connect(&mut sim, 0, &[3, 1]);
+        connect(&mut sim, 1, &[0, 2, 0, 3]);
+        assert_eq!((sim.occupancy, sim.k.clone()), (3, vec![1, 1]));
+        sim.tear_down_port(Side::Output, 3);
+        assert_eq!(sim.torn_down, 1);
+        assert_eq!((sim.occupancy, sim.k.clone()), (1, vec![1, 0]));
+        for (owners, freed) in [(&sim.owner_in, [0, 2]), (&sim.owner_out, [0, 3])] {
+            assert!(freed.iter().all(|&p| owners[p] == IDLE), "{owners:?}");
+        }
+        // The narrow circuit keeps its ports.
+        assert_ne!(sim.owner_in[3], IDLE);
+        assert_ne!(sim.owner_out[1], IDLE);
+        // A failing idle port tears nothing down.
+        sim.tear_down_port(Side::Input, 0);
+        assert_eq!((sim.torn_down, sim.occupancy), (1, 1));
+    }
+
+    #[test]
+    fn a_stale_departure_skips_the_circuit_that_reused_its_slot() {
+        let mut sim = two_width_sim();
+        let (slot, torn) = connect(&mut sim, 1, &[0, 1, 2, 3]);
+        sim.tear_down_port(Side::Input, 1);
+        let (reused, live) = connect(&mut sim, 0, &[2, 0]);
+        assert_eq!(reused, slot);
+        assert_ne!(live, torn);
+        // The torn-down circuit's departure fires: the generation no
+        // longer matches, so the slot's new circuit stays up.
+        sim.depart(slot, torn);
+        assert_eq!((sim.occupancy, sim.k.clone()), (1, vec![1, 0]));
+        assert_eq!((sim.owner_in[2], sim.owner_out[0]), (slot, slot));
+        sim.depart(reused, live);
+        assert_eq!((sim.occupancy, sim.k.clone()), (0, vec![0, 0]));
+        assert!(sim
+            .owner_in
+            .iter()
+            .chain(&sim.owner_out)
+            .all(|&o| o == IDLE));
+    }
+
+    #[test]
+    fn owner_arrays_agree_with_the_live_circuits_after_a_faulted_run() {
+        let cfg = SimConfig::new(8, 8)
+            .with_exp_class(TrafficClass::poisson(0.05))
+            .with_exp_class(TrafficClass::poisson(0.01).with_bandwidth(2))
+            .with_faults(FaultConfig::from_mtbf_mttr(20.0, 5.0));
+        let mut sim = CrossbarSim::new(cfg, 23);
+        let rep = sim.run(RunConfig {
+            warmup: 10.0,
+            duration: 2_000.0,
+            batches: 5,
+        });
+        assert!(rep.faults.expect("faults enabled").torn_down > 0);
+        let live: Vec<u32> = (0..sim.live.conns.len() as u32)
+            .filter(|s| !sim.live.free.contains(s))
+            .collect();
+        assert!(!live.is_empty(), "the run should end with circuits up");
+        let width = |slot: u32| {
+            let class = sim.live.conns[slot as usize].class as usize;
+            sim.cfg.classes[class].0.bandwidth as usize
+        };
+        let sides = [
+            (&sim.owner_in, &sim.faults.failed_in, 0),
+            (&sim.owner_out, &sim.faults.failed_out, 1),
+        ];
+        for (owners, failed, side) in sides {
+            for (port, &slot) in owners.iter().enumerate() {
+                if slot == IDLE {
+                    continue;
+                }
+                assert!(live.contains(&slot), "port {port} owned by a free slot");
+                let a = width(slot);
+                let held = &sim.live.held(slot, a)[side * a..(side + 1) * a];
+                assert!(held.contains(&(port as u32)), "{held:?} lacks {port}");
+                assert!(!failed[port], "failed port {port} is owned");
+            }
+            let owned = owners.iter().filter(|&&o| o != IDLE).count();
+            assert_eq!(owned, sim.occupancy as usize);
+        }
+        let widths: usize = live.iter().map(|&s| width(s)).sum();
+        assert_eq!(widths, sim.occupancy as usize);
+        assert_eq!(live.len() as u64, sim.k.iter().sum::<u64>());
+    }
+
+    #[test]
+    fn a_last_batch_boundary_that_rounds_short_still_ends_the_run() {
+        // 10 · (0.9 / 10) rounds below 0.9: the last batch's computed end
+        // falls short of the window's, and the split must not stall there.
+        let run = RunConfig {
+            warmup: 0.0,
+            duration: 0.9,
+            batches: 10,
+        };
+        let batches = run.batches as f64;
+        assert!(batches * (run.duration / batches) < run.duration);
+        let rep = CrossbarSim::new(poisson_cfg(4, 0.1), 1).run(run);
+        let total: f64 = rep.occupancy.iter().sum();
+        assert!((total - 1.0).abs() < 1e-12, "{total}");
     }
 
     #[test]

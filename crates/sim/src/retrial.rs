@@ -107,6 +107,11 @@ impl RetrialSim {
         let mut busy_out = vec![false; cfg.n2 as usize];
         // The failed-port mask of the shared port draw: no port fails here.
         let no_failures = vec![false; cfg.n1.max(cfg.n2) as usize];
+        let (no_failed_in, no_failed_out) = (
+            &no_failures[..cfg.n1 as usize],
+            &no_failures[..cfg.n2 as usize],
+        );
+        let mut drawn = Vec::new();
         let mut k_live: u64 = 0;
         let mut cal: Calendar<Pending> = Calendar::new();
 
@@ -154,19 +159,23 @@ impl RetrialSim {
             };
             // Fresh calls and retries make the same attempt: draw the
             // ports, and on success hold them until a scheduled departure.
-            let (ins, in_free, _) = draw_ports(&mut self.rng, &busy_in, &no_failures, a);
-            let (outs, out_free, _) = draw_ports(&mut self.rng, &busy_out, &no_failures, a);
+            drawn.clear();
+            let (in_free, _) =
+                draw_ports(&mut self.rng, |i| busy_in[i], no_failed_in, a, &mut drawn);
+            let (out_free, _) =
+                draw_ports(&mut self.rng, |o| busy_out[o], no_failed_out, a, &mut drawn);
             let ok = in_free && out_free;
             if ok {
-                for &i in &ins {
+                let (ins, outs) = drawn.split_at(a as usize);
+                for &i in ins {
                     busy_in[i as usize] = true;
                 }
-                for &o in &outs {
+                for &o in outs {
                     busy_out[o as usize] = true;
                 }
                 k_live += 1;
                 let hold = sample_exp(&mut self.rng, 1.0 / cfg.class.mu);
-                cal.schedule(hold, Pending::Departure(ins, outs));
+                cal.schedule(hold, Pending::Departure(ins.to_vec(), outs.to_vec()));
             }
             if let Some(b) = batch {
                 per_batch[b].attempts += 1;

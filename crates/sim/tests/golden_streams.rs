@@ -15,7 +15,8 @@
 use xbar_admission::{EngineConfig, PolicySpec};
 use xbar_core::{Dims, Model};
 use xbar_sim::{
-    replay, CrossbarSim, FaultConfig, ReplayConfig, RetrialConfig, RetrialSim, RunConfig, SimConfig,
+    replay, run_sim_until_ci, CiTarget, Confidence, CrossbarSim, FaultConfig, RepConfig,
+    ReplayConfig, RetrialConfig, RetrialSim, RunConfig, SimConfig,
 };
 use xbar_traffic::{TrafficClass, Workload};
 
@@ -138,19 +139,23 @@ fn replay_streams_match_the_legacy_loop_bit_for_bit() {
     );
 }
 
-#[test]
-fn faulted_crossbar_stream_is_pinned_bit_for_bit() {
-    // The replicated-CI benchmark's shape: a 16×16 switch, three classes
-    // (2, 0.6 + 0.4k and 0.8 Erlangs spread over the 16², 16², 240² port
-    // tuples: Poisson, peaky Pascal, Poisson at a = 2) and ports that fail
-    // and get repaired (MTBF 200, MTTR 10). Pins the fault clock,
-    // teardowns and the stale-departure skip with the arrival stream.
-    let cfg = SimConfig::new(16, 16)
+/// The replicated-CI benchmark's switch: 16×16, three classes (2,
+/// 0.6 + 0.4k and 0.8 Erlangs spread over the 16², 16², 240² port tuples:
+/// Poisson, peaky Pascal, Poisson at a = 2) and ports that fail and get
+/// repaired (MTBF 200, MTTR 10).
+fn sim_ci_switch() -> SimConfig {
+    SimConfig::new(16, 16)
         .with_exp_class(TrafficClass::poisson(2.0 / 256.0))
         .with_exp_class(TrafficClass::bpp(0.6 / 256.0, 0.4 / 256.0, 1.0))
         .with_exp_class(TrafficClass::poisson(0.8 / 57_600.0).with_bandwidth(2))
-        .with_faults(FaultConfig::from_mtbf_mttr(200.0, 10.0));
-    let rep = CrossbarSim::new(cfg, 5).run(RunConfig {
+        .with_faults(FaultConfig::from_mtbf_mttr(200.0, 10.0))
+}
+
+#[test]
+fn faulted_crossbar_stream_is_pinned_bit_for_bit() {
+    // One replication of the benchmark's switch. Pins the fault clock,
+    // teardowns and the stale-departure skip with the arrival stream.
+    let rep = CrossbarSim::new(sim_ci_switch(), 5).run(RunConfig {
         warmup: 50.0,
         duration: 2_000.0,
         batches: 10,
@@ -204,4 +209,72 @@ fn retrial_stream_is_pinned_bit_for_bit() {
     );
     assert_eq!(rep.loss.mean.to_bits(), 0x3fc0_1e9d_338d_0e00);
     assert_eq!(rep.attempt_blocking.mean.to_bits(), 0x3fde_0c57_ec2d_7ab6);
+}
+
+#[test]
+fn sim_ci_merged_report_is_pinned_bit_for_bit() {
+    // The whole replicated-CI run at the benchmark's exact config: its
+    // switch, stopped by the harness once every class's 99% half-width
+    // reaches 0.01 (24 replications, then +4 up to 64). This master seed
+    // needs a second round. Pins the per-replication streams, the serial
+    // merge and the stopping rule together.
+    let run = RunConfig {
+        warmup: 50.0,
+        duration: 2_000.0,
+        batches: 10,
+    };
+    let rep = RepConfig {
+        replications: 0,
+        master_seed: 0x0b63_d165_f892_93ab,
+        confidence: Confidence::P99,
+    };
+    let target = CiTarget {
+        half_width: 0.01,
+        initial: 24,
+        step: 4,
+        max: 64,
+    };
+    let merged = run_sim_until_ci(&sim_ci_switch(), &run, &rep, target).expect("valid config");
+    let classes: Vec<(u64, u64, u64, u64, u64)> = merged
+        .classes
+        .iter()
+        .map(|c| {
+            (
+                c.offered,
+                c.blocked,
+                c.fault_blocked,
+                c.blocking.mean.to_bits(),
+                c.blocking.half_width.to_bits(),
+            )
+        })
+        .collect();
+    assert_eq!((merged.replications, merged.rounds), (28, 2));
+    assert_eq!(merged.events, 338_048);
+    assert_eq!(
+        classes,
+        vec![
+            (
+                111_690,
+                39_445,
+                10_279,
+                0x3fd6_96f0_faab_4e14,
+                0x3f75_97a4_8818_7276
+            ),
+            (
+                44_760,
+                16_815,
+                4_097,
+                0x3fd8_0cd7_6905_57b9,
+                0x3f82_4ab8_1a86_a5b3
+            ),
+            (
+                44_765,
+                25_576,
+                8_021,
+                0x3fe2_4719_e19f_eecb,
+                0x3f7a_ebe6_0fb0_a240
+            ),
+        ]
+    );
+    assert_eq!(merged.revenue.mean.to_bits(), 0x4000_f0e2_1991_ba71);
 }
