@@ -1,11 +1,10 @@
 //! The online admission engine: `O(R)` admit/deny per event over
 //! incrementally maintained product-form state.
 
-use std::sync::Arc;
+use std::convert::Infallible;
 use std::time::{Duration, Instant};
 
-use xbar_core::sensitivity::{sensitivity_from, Sensitivity};
-use xbar_core::{solve_cached, Algorithm, Model, Solution, SolveError, SweepSolver};
+use xbar_core::{sensitivity, Algorithm, Model, Sensitivity, SolveError};
 use xbar_numeric::permutation;
 
 use crate::policy::PolicySpec;
@@ -48,7 +47,8 @@ pub enum DenyReason {
 /// A typed admission-engine failure.
 #[derive(Clone, Debug, PartialEq)]
 pub enum AdmissionError {
-    /// The anchor solve failed.
+    /// The policy's pricing gradients could not be computed (a failed
+    /// sweep precompute, or a non-finite gradient).
     Solve(SolveError),
     /// A class index outside `0..R`.
     UnknownClass {
@@ -83,9 +83,9 @@ pub enum AdmissionError {
         /// Connection-slot capacity `min(N1, N2)`.
         cap: u32,
     },
-    /// Repricing refused: the per-anchor pricing gradient is older than
+    /// Repricing refused: the pricing gradient's timestamp is older than
     /// the configured deadline, and the shadow policy must not price on
-    /// a stale gradient (re-anchor to refresh it).
+    /// a stale gradient (re-anchor to restamp it).
     StalePrices {
         /// Age of the cached gradient when pricing was attempted, in ms.
         age_ms: u64,
@@ -97,7 +97,7 @@ pub enum AdmissionError {
 impl std::fmt::Display for AdmissionError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            AdmissionError::Solve(e) => write!(f, "anchor solve failed: {e}"),
+            AdmissionError::Solve(e) => write!(f, "{e}"),
             AdmissionError::UnknownClass { class, classes } => {
                 write!(f, "unknown class {class} (model has {classes})")
             }
@@ -153,8 +153,8 @@ impl std::error::Error for AdmissionError {
 pub struct EngineConfig {
     /// The admission policy.
     pub policy: PolicySpec,
-    /// Algorithm for the anchor solve (Alg2/MVA by default — one lattice
-    /// pass seeds every per-class measure the policies consult).
+    /// Backend of the shadow policy's pricing gradients (and of the
+    /// analytic acceptance a replay checks against). MVA by default.
     pub algorithm: Algorithm,
     /// Events between exact drift checks of the incremental log-weight
     /// (`0` disables periodic checks; [`AdmissionEngine::re_anchor`]
@@ -164,18 +164,19 @@ pub struct EngineConfig {
     /// `|inc − exact| > drift_tol · max(1, |exact|)`.
     pub drift_tol: f64,
     /// Events per online repricing batch: every `n` events the engine
-    /// re-derives the policy thresholds from the per-anchor pricing
-    /// state ([`AdmissionEngine::reprice_now`]). Event-count-driven so a
+    /// re-derives the policy thresholds from its pricing gradients
+    /// ([`AdmissionEngine::reprice_now`]). Event-count-driven so a
     /// WAL replay reproduces the cadence exactly. `None` (or `Some(0)`)
-    /// disables repricing — thresholds refresh only at re-anchor, the
-    /// pre-repricing behaviour.
+    /// disables repricing: the thresholds resolved in
+    /// [`AdmissionEngine::new`] stand (the model never changes, so a
+    /// pass would re-derive the same vector).
     pub reprice_batch: Option<u64>,
-    /// Maximum age of the per-anchor pricing gradient: a reprice due
-    /// after this deadline refuses with
-    /// [`AdmissionError::StalePrices`] instead of silently pricing on
-    /// the stale gradient. `None` = no deadline (gradients only depend
-    /// on the model, so they never *drift* — the deadline bounds how
-    /// long a supervisor may serve prices without a fresh anchor).
+    /// Maximum age of the pricing gradient, counted from construction or
+    /// the last [`AdmissionEngine::re_anchor`]: a reprice due after this
+    /// deadline refuses with [`AdmissionError::StalePrices`] instead of
+    /// pricing. `None` = no deadline (gradients only depend on the
+    /// model, so they never *drift* — the deadline bounds how long a
+    /// supervisor may serve prices without re-anchoring).
     pub price_deadline: Option<Duration>,
 }
 
@@ -212,15 +213,15 @@ pub struct EngineStats {
     pub events: u64,
     /// Departures processed.
     pub departures: u64,
-    /// Times the engine re-anchored from the solve cache.
+    /// Times the engine re-anchored.
     pub re_anchors: u64,
     /// Times a non-finite incremental delta forced an exact snap-back
     /// recomputation of the log-weight (λ = 0 transitions, propagated
     /// non-finite state). Silent before PR 6; see `admission.reanchor.*`.
     pub snap_backs: u64,
-    /// Re-anchor attempts that failed (anchor solve or policy resolution
-    /// error) — the engine surfaces the error but also counts it, so a
-    /// supervisor can watch the failure rate without parsing errors.
+    /// Re-anchor attempts that failed. Kept in the snapshot format so
+    /// existing snapshots load; a re-anchor cannot fail, so only a
+    /// restored state sets it.
     pub re_anchor_failures: u64,
     /// Per-batch repricing passes attempted (successful or refused).
     pub reprice_batches: u64,
@@ -255,8 +256,8 @@ impl EngineStats {
 
 /// A portable capture of everything an [`AdmissionEngine`] accumulates at
 /// runtime — the occupancy vector, the incremental log-weight (bit-exact),
-/// and the decision counters. Everything *else* an engine holds (anchor
-/// solution, thresholds, capacities) is a pure function of the model and
+/// and the decision counters. Everything *else* an engine holds (pricing
+/// gradients, thresholds, capacities) is a pure function of the model and
 /// [`EngineConfig`], so `new` + [`AdmissionEngine::restore_state`]
 /// reconstructs an engine that behaves identically to the captured one —
 /// the durability contract `xbar-serve` snapshots rely on.
@@ -281,15 +282,10 @@ pub struct EngineState {
     pub stats: EngineStats,
 }
 
-/// The per-anchor pricing state: the sweep solver built at re-anchor
-/// time, the §4 gradients assembled from it, and when it was built (for
-/// the staleness deadline). Gradients depend only on the model, so the
-/// cached matrix stays exact until the next re-anchor; the solver is
-/// retained so future occupancy- or edit-aware pricing can recombine
-/// fresh gradients at `O(C²/a)` cost without a precompute.
+/// The shadow policy's pricing state: the model's §4 gradients, computed
+/// once in [`AdmissionEngine::new`] (they depend only on the model), and
+/// when they were last stamped fresh (for the staleness deadline).
 struct Pricer {
-    #[allow(dead_code)]
-    sweep: SweepSolver,
     sens: Sensitivity,
     built: Instant,
 }
@@ -313,10 +309,7 @@ pub struct AdmissionEngine {
     ka: u32,
     /// Incremental `ln(π(k)/π(0))`.
     log_weight: f64,
-    /// The anchor solution (refreshed on re-anchor).
-    anchor: Arc<Solution>,
-    /// Per-anchor pricing state (present iff repricing is enabled and
-    /// the policy consults gradients).
+    /// Pricing state (present iff the policy consults gradients).
     pricer: Option<Pricer>,
     /// Events into the current repricing batch.
     reprice_events: u64,
@@ -324,11 +317,21 @@ pub struct AdmissionEngine {
 }
 
 impl AdmissionEngine {
-    /// Build an engine for `model`, seeding the per-class non-blocking
-    /// state from one cached analytic solve.
+    /// Build an engine for `model`. A policy that consults gradients
+    /// gets them here, from one sweep precompute; nothing later
+    /// recomputes them.
     pub fn new(model: &Model, cfg: EngineConfig) -> Result<Self, AdmissionError> {
-        let anchor = solve_cached(model, cfg.algorithm).map_err(AdmissionError::Solve)?;
-        let (pricer, thresholds) = Self::build_pricing(model, &cfg, &anchor)?;
+        let pricer = if cfg.policy.needs_sensitivity() {
+            Some(Pricer {
+                sens: sensitivity(model, cfg.algorithm).map_err(AdmissionError::Solve)?,
+                built: Instant::now(),
+            })
+        } else {
+            None
+        };
+        let thresholds = cfg
+            .policy
+            .thresholds(model.num_classes(), pricer.as_ref().map(|p| &p.sens))?;
         let dims = model.dims();
         let classes = model.workload().classes();
         let bw: Vec<u32> = classes.iter().map(|c| c.bandwidth).collect();
@@ -346,7 +349,6 @@ impl AdmissionEngine {
             k: vec![0; r_count],
             ka: 0,
             log_weight: 0.0,
-            anchor,
             pricer,
             reprice_events: 0,
             stats: EngineStats {
@@ -355,40 +357,6 @@ impl AdmissionEngine {
             },
             cfg,
         })
-    }
-
-    /// Whether per-batch repricing is configured on.
-    fn reprice_enabled(cfg: &EngineConfig) -> bool {
-        matches!(cfg.reprice_batch, Some(n) if n > 0)
-    }
-
-    /// Resolve the policy thresholds for a (new or refreshed) anchor,
-    /// building the per-anchor pricing state when repricing is on and
-    /// the policy consults gradients. The thresholds come from the same
-    /// gradients either way — [`sensitivity_from`] on the held solver is
-    /// bit-identical to the fresh `sensitivity()` the plain path pays.
-    fn build_pricing(
-        model: &Model,
-        cfg: &EngineConfig,
-        anchor: &Solution,
-    ) -> Result<(Option<Pricer>, Vec<u32>), AdmissionError> {
-        if Self::reprice_enabled(cfg) && cfg.policy.needs_sensitivity() {
-            let sweep = SweepSolver::new(model, cfg.algorithm).map_err(AdmissionError::Solve)?;
-            let sens = sensitivity_from(&sweep);
-            let thresholds = cfg
-                .policy
-                .thresholds_from_sensitivity(model.num_classes(), &sens)?;
-            Ok((
-                Some(Pricer {
-                    sweep,
-                    sens,
-                    built: Instant::now(),
-                }),
-                thresholds,
-            ))
-        } else {
-            Ok((None, cfg.policy.thresholds(model, cfg.algorithm, anchor)?))
-        }
     }
 
     fn check_class(&self, class: usize) -> Result<(), AdmissionError> {
@@ -517,7 +485,7 @@ impl AdmissionEngine {
             // Negated so NaN drift (incomparable) also re-anchors.
             #[allow(clippy::neg_cmp_op_on_partial_ord)]
             if !(drift <= self.cfg.drift_tol * exact.abs().max(1.0)) {
-                self.re_anchor()?;
+                self.re_anchor().unwrap_or_else(|e| match e {});
             }
         }
         if let Some(batch) = self.cfg.reprice_batch {
@@ -534,40 +502,30 @@ impl AdmissionEngine {
         Ok(())
     }
 
-    /// Re-derive the policy thresholds from the per-anchor pricing state
-    /// — the per-batch repricing pass. `O(R)` when the pricer holds
-    /// cached gradients (the [`SweepSolver`] + [`sensitivity_from`]
-    /// assembly already ran at anchor time); static policies just
-    /// re-resolve their threshold vector. Returns whether the thresholds
+    /// Re-derive the policy thresholds from the pricing gradients — the
+    /// per-batch repricing pass, `O(R)`. Returns whether the thresholds
     /// changed.
     ///
-    /// If a [`EngineConfig::price_deadline`] is set and the cached
-    /// gradient is at least that old, the pass refuses with
-    /// [`AdmissionError::StalePrices`] rather than silently serving
-    /// prices from a gradient a supervisor should have refreshed —
-    /// the attempt is still counted in [`EngineStats::reprice_batches`].
+    /// If a [`EngineConfig::price_deadline`] is set and the gradient is
+    /// at least that old, the pass refuses with
+    /// [`AdmissionError::StalePrices`] rather than serving prices a
+    /// supervisor should have refreshed — the attempt is still counted in
+    /// [`EngineStats::reprice_batches`].
     pub fn reprice_now(&mut self) -> Result<bool, AdmissionError> {
         self.stats.reprice_batches += 1;
-        let thresholds = match &self.pricer {
-            Some(p) => {
-                if let Some(deadline) = self.cfg.price_deadline {
-                    let age = p.built.elapsed();
-                    if age >= deadline {
-                        return Err(AdmissionError::StalePrices {
-                            age_ms: age.as_millis() as u64,
-                            deadline_ms: deadline.as_millis() as u64,
-                        });
-                    }
-                }
-                self.cfg
-                    .policy
-                    .thresholds_from_sensitivity(self.k.len(), &p.sens)?
+        if let (Some(p), Some(deadline)) = (&self.pricer, self.cfg.price_deadline) {
+            let age = p.built.elapsed();
+            if age >= deadline {
+                return Err(AdmissionError::StalePrices {
+                    age_ms: age.as_millis() as u64,
+                    deadline_ms: deadline.as_millis() as u64,
+                });
             }
-            None => self
-                .cfg
-                .policy
-                .thresholds(&self.model, self.cfg.algorithm, &self.anchor)?,
-        };
+        }
+        let thresholds = self
+            .cfg
+            .policy
+            .thresholds(self.k.len(), self.pricer.as_ref().map(|p| &p.sens))?;
         let changed = thresholds != self.thresholds;
         if changed {
             self.stats.reprice_updates += 1;
@@ -576,43 +534,27 @@ impl AdmissionEngine {
         Ok(changed)
     }
 
-    /// Reset the incremental state from an exact recomputation and
-    /// refresh the analytic anchor through the solve cache. Failures
-    /// (anchor solve, policy resolution) are returned *and* counted in
-    /// [`EngineStats::re_anchor_failures`], so a supervisor watching the
-    /// counters sees the failure rate without parsing errors.
-    pub fn re_anchor(&mut self) -> Result<(), AdmissionError> {
-        let refreshed = solve_cached(&self.model, self.cfg.algorithm)
-            .map_err(AdmissionError::Solve)
-            .and_then(|anchor| {
-                Self::build_pricing(&self.model, &self.cfg, &anchor)
-                    .map(|(pricer, thresholds)| (anchor, pricer, thresholds))
-            });
-        match refreshed {
-            Ok((anchor, pricer, thresholds)) => {
-                self.anchor = anchor;
-                self.pricer = pricer;
-                self.thresholds = thresholds;
-                self.log_weight = self.exact_log_weight();
-                self.stats.re_anchors += 1;
-                // Note: `reprice_events` is deliberately *not* reset — the
-                // repricing cadence is purely event-count-driven so a WAL
-                // replay reproduces it exactly regardless of when drift
-                // checks happened to re-anchor.
-                Ok(())
-            }
-            Err(e) => {
-                self.stats.re_anchor_failures += 1;
-                Err(e)
-            }
+    /// Reset the incremental log-weight from an exact recomputation,
+    /// restamp the pricing gradient as fresh, and count the re-anchor.
+    /// The gradients and thresholds are functions of the model alone, so
+    /// there is nothing analytic to recompute and nothing that can fail.
+    pub fn re_anchor(&mut self) -> Result<(), Infallible> {
+        self.log_weight = self.exact_log_weight();
+        if let Some(p) = &mut self.pricer {
+            p.built = Instant::now();
         }
+        self.stats.re_anchors += 1;
+        // `reprice_events` is deliberately *not* reset — the repricing
+        // cadence is purely event-count-driven so a WAL replay reproduces
+        // it exactly regardless of when drift checks re-anchored.
+        Ok(())
     }
 
     /// Reset only the incremental log-weight from an exact recomputation,
-    /// *without* refreshing the analytic anchor. This is the cheap
-    /// degraded-mode fallback a deadline-bound supervisor uses when a full
-    /// [`AdmissionEngine::re_anchor`] has blown its latency budget: drift
-    /// is corrected, the (stale) anchor keeps serving.
+    /// without counting a re-anchor or restamping the pricing gradient.
+    /// This is the degraded-mode fallback a deadline-bound supervisor
+    /// uses when a re-anchor has blown its latency budget: drift is
+    /// corrected, the anchor stays marked stale.
     pub fn reset_weight(&mut self) {
         self.log_weight = self.exact_log_weight();
     }
@@ -649,13 +591,6 @@ impl AdmissionEngine {
             / self.tuple_count[class]
     }
 
-    /// The anchor's analytic call acceptance for `class` (the
-    /// arrival-theorem-corrected `1 − B_r^{call}` a complete-sharing
-    /// replay should reproduce).
-    pub fn analytic_acceptance(&self, class: usize) -> f64 {
-        self.anchor.call_acceptance(class)
-    }
-
     /// Current occupancy vector `k`.
     pub fn state(&self) -> &[u32] {
         &self.k
@@ -674,11 +609,6 @@ impl AdmissionEngine {
     /// The model this engine serves.
     pub fn model(&self) -> &Model {
         &self.model
-    }
-
-    /// The anchor solution.
-    pub fn anchor(&self) -> &Solution {
-        &self.anchor
     }
 
     /// Effective per-class spare-slot thresholds.
@@ -927,6 +857,27 @@ mod tests {
         e.re_anchor().unwrap();
         assert_eq!(e.stats().re_anchors, 1);
         assert_eq!(e.log_weight(), e.exact_log_weight());
+    }
+
+    #[test]
+    fn non_finite_pricing_gradients_fail_construction() {
+        // The scaled backend's precompute is healthy here but a
+        // ρ-derivative ray overflows: the engine must refuse to start
+        // rather than fix a threshold from NaN gradients for its life.
+        let w = Workload::new()
+            .with(TrafficClass::poisson(5.0))
+            .with(TrafficClass::poisson(1e-3));
+        let m = Model::new(Dims::square(128), w).unwrap();
+        let cfg = |algorithm| EngineConfig {
+            policy: PolicySpec::ShadowPrice { reserve: 2 },
+            algorithm,
+            ..EngineConfig::default()
+        };
+        assert!(matches!(
+            AdmissionEngine::new(&m, cfg(Algorithm::Alg1Scaled)).err(),
+            Some(AdmissionError::Solve(SolveError::Guard { .. }))
+        ));
+        assert!(AdmissionEngine::new(&m, cfg(Algorithm::Auto)).is_ok());
     }
 
     #[test]
@@ -1196,10 +1147,8 @@ mod tests {
         assert_eq!(e.state(), &[1, 0]);
         assert_eq!(e.stats().reprice_batches, 1);
         assert_eq!(e.stats().reprice_updates, 0);
-        // A fresh re-anchor rebuilds the pricer; without the deadline the
-        // same engine would price normally — prove the refusal is purely
-        // the deadline by relaxing it.
-        e.re_anchor().unwrap();
+        // Without the deadline the same engine would price normally —
+        // prove the refusal is purely the deadline by relaxing it.
         let mut relaxed = AdmissionEngine::new(
             &m,
             EngineConfig {

@@ -11,11 +11,12 @@
 //! [`AdmissionEngine`] ingests a stream of per-class arrival/departure
 //! events and answers admit/deny in `O(R)` work per event.
 //!
-//! The engine is **seeded** from one analytic solve (Alg2/MVA by
-//! default, fetched through the process-wide
-//! [`SolveCache`](xbar_core::SolveCache)) which provides the per-class
-//! non-blocking state (`B_r`, call acceptance, shadow costs). Between
-//! events it maintains, incrementally:
+//! The engine prices from the product form alone. A policy that consults
+//! the §4 shadow prices gets them from one sweep precompute
+//! ([`xbar_core::sensitivity()`]) in [`AdmissionEngine::new`]; they are
+//! functions of the model's parameters, not of the occupancy, so nothing
+//! recomputes them while the engine lives. Between events the engine
+//! maintains, incrementally:
 //!
 //! - the occupancy vector `k` and the port occupancy `k·A`;
 //! - the log stationary weight `ln π̃(k) = ln(π(k)/π(0))` of the current
@@ -27,9 +28,9 @@
 //! The incremental log-weight is a long sum of floating-point deltas, so
 //! it drifts. Every `check_interval` events the engine recomputes the
 //! weight exactly (an `O(N)` scan) and, when the gap exceeds
-//! `drift_tol`, **re-anchors**: the incremental state is reset from the
-//! exact recomputation and the analytic anchor is refreshed through the
-//! solve cache (a cache hit unless the cache was evicted under pressure).
+//! `drift_tol`, **re-anchors**: the weight is reset from the exact
+//! recomputation and the pricing gradient is restamped as fresh. A
+//! re-anchor solves nothing and cannot fail.
 //!
 //! Three [`PolicySpec`]s are pluggable: complete sharing (the paper's
 //! model), per-class trunk reservation (the semantics of

@@ -7,8 +7,7 @@
 //! cross-checked against the numerically solved reservation chain, and
 //! `t ≡ 0` recovers the paper's complete-sharing model.
 
-use xbar_core::sensitivity::{sensitivity, Sensitivity};
-use xbar_core::{Algorithm, Model, Solution};
+use xbar_core::Sensitivity;
 
 use crate::engine::AdmissionError;
 
@@ -69,40 +68,24 @@ impl PolicySpec {
     }
 
     /// Whether this policy prices its thresholds off the §4 sensitivity
-    /// gradients (and therefore needs a gradient source at re-anchor /
-    /// reprice time).
+    /// gradients (and therefore needs them computed for its model).
     pub fn needs_sensitivity(&self) -> bool {
         matches!(self, PolicySpec::ShadowPrice { .. })
     }
 
-    /// Resolve the policy to one spare-slot threshold per class from an
-    /// already-computed sensitivity analysis.
+    /// Resolve the policy to one spare-slot threshold per class. `sens`
+    /// is the model's §4 sensitivity analysis; only the shadow policy
+    /// reads it, so the others take `None`.
     ///
-    /// This is the pricing rule itself, factored out so the online
-    /// repricing path can apply it to the per-anchor *cached* gradients
-    /// ([`xbar_core::sensitivity_from`]) instead of paying a fresh
-    /// [`sensitivity`] solve per call — the two are bit-identical for
-    /// the same model.
-    pub fn thresholds_from_sensitivity(
+    /// # Panics
+    ///
+    /// If the policy [needs sensitivity](PolicySpec::needs_sensitivity)
+    /// and `sens` is `None`.
+    pub fn thresholds(
         &self,
         r_count: usize,
-        sens: &Sensitivity,
+        sens: Option<&Sensitivity>,
     ) -> Result<Vec<u32>, AdmissionError> {
-        match self {
-            PolicySpec::CompleteSharing | PolicySpec::TrunkReservation(_) => {
-                self.thresholds_static(r_count)
-            }
-            PolicySpec::ShadowPrice { reserve } => Ok(sens
-                .revenue_by_rho
-                .iter()
-                .map(|&g| if g < 0.0 { *reserve } else { 0 })
-                .collect()),
-        }
-    }
-
-    /// Threshold resolution for the policies that never consult
-    /// gradients (complete sharing, trunk reservation).
-    fn thresholds_static(&self, r_count: usize) -> Result<Vec<u32>, AdmissionError> {
         match self {
             PolicySpec::CompleteSharing => Ok(vec![0; r_count]),
             PolicySpec::TrunkReservation(t) => {
@@ -114,27 +97,12 @@ impl PolicySpec {
                 }
                 Ok(t.clone())
             }
-            PolicySpec::ShadowPrice { .. } => {
-                unreachable!("shadow-price thresholds need a sensitivity source")
-            }
-        }
-    }
-
-    /// Resolve the policy to one spare-slot threshold per class for
-    /// `model`, consulting the anchor solve / sensitivity analysis where
-    /// the policy demands it.
-    pub(crate) fn thresholds(
-        &self,
-        model: &Model,
-        algorithm: Algorithm,
-        _anchor: &Solution,
-    ) -> Result<Vec<u32>, AdmissionError> {
-        let r_count = model.num_classes();
-        if self.needs_sensitivity() {
-            let sens = sensitivity(model, algorithm).map_err(AdmissionError::Solve)?;
-            self.thresholds_from_sensitivity(r_count, &sens)
-        } else {
-            self.thresholds_static(r_count)
+            PolicySpec::ShadowPrice { reserve } => Ok(sens
+                .expect("shadow-price thresholds need the model's sensitivity")
+                .revenue_by_rho
+                .iter()
+                .map(|&g| if g < 0.0 { *reserve } else { 0 })
+                .collect()),
         }
     }
 }

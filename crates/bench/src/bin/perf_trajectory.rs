@@ -245,12 +245,11 @@ fn time_sensitivity(n: u32, threads: usize, runs: usize) -> Vec<BenchRecord> {
     vec![record("exact", exact_median), record("fd", fd_median)]
 }
 
-/// Time the online repricing pass against the full re-anchor solve it
-/// replaces (PR 8's headline number): a shadow-price engine with
-/// per-batch repricing holds the assembled sensitivity per anchor, so a
-/// pass is one O(R) threshold derivation — versus the fresh
-/// `sensitivity()` lattice solve plus the same derivation that a full
-/// re-anchor pays. A repricing pass is sub-microsecond, so each timed
+/// Time the online repricing pass against pricing from scratch: a
+/// shadow-price engine holds the sensitivity it assembled at
+/// construction, so a pass is one O(R) threshold
+/// derivation — versus a fresh `sensitivity()` sweep plus the same
+/// derivation. A repricing pass is sub-microsecond, so each timed
 /// sample wraps `INNER` passes and reports the per-pass median.
 fn time_reprice(n: u32, threads: usize, full_runs: usize) -> Vec<BenchRecord> {
     const INNER: u64 = 1_000;
@@ -275,11 +274,7 @@ fn time_reprice(n: u32, threads: usize, full_runs: usize) -> Vec<BenchRecord> {
     let r_count = model.num_classes();
     let full_median = median_ns(full_runs, || {
         let sens = sensitivity(&model, Algorithm::Alg1Ext).expect("fresh sensitivity");
-        std::hint::black_box(
-            policy
-                .thresholds_from_sensitivity(r_count, &sens)
-                .expect("thresholds"),
-        );
+        std::hint::black_box(policy.thresholds(r_count, Some(&sens)).expect("thresholds"));
     });
     let speedup = full_median as f64 / reprice_median.max(1) as f64;
     println!(

@@ -109,6 +109,6 @@ pub use measures::{ClassMeasures, SwitchMeasures};
 pub use model::{Dims, Model, ModelError};
 pub use sensitivity::{sensitivity, sensitivity_from, Sensitivity};
 pub use solver::resilient::{solve_resilient, ResilientConfig, ResilientSolution, SolveReport};
-pub use solver::{solve, solve_batch, solve_cached, Algorithm, Solution, SolveCache, SolveError};
+pub use solver::{solve, solve_cached, Algorithm, Solution, SolveCache, SolveError};
 pub use state::StateIter;
 pub use sweep::{SweepGradients, SweepGrid, SweepSolution, SweepSolver};

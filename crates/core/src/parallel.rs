@@ -1,6 +1,6 @@
 //! Thread-count plumbing and the persistent worker pool for the parallel
-//! solve paths (the wavefront lattice sweep in [`crate::alg1`], fleet
-//! sharding in [`crate::fleet`], and [`crate::solver::solve_batch`]).
+//! solve paths (the wavefront lattice sweep in [`crate::alg1`] and the
+//! fleet sharding in [`crate::fleet`]).
 //!
 //! Resolution order for the effective thread count:
 //!

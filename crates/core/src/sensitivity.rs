@@ -21,7 +21,7 @@
 //! `tests/differential.rs`), and a fallback for backends the sweep
 //! solver does not model.
 
-use xbar_numeric::central_diff;
+use xbar_numeric::{central_diff, finite_or_err};
 
 use crate::model::Model;
 use crate::solver::{solve, Algorithm, SolveError};
@@ -52,19 +52,26 @@ pub struct Sensitivity {
 /// policy as [`SweepSolver::new`].
 pub fn sensitivity(model: &Model, algorithm: Algorithm) -> Result<Sensitivity, SolveError> {
     let sweep = SweepSolver::new(model, algorithm)?;
-    Ok(sensitivity_from(&sweep))
+    sensitivity_from(&sweep)
 }
 
 /// Assemble the sensitivity matrices from an already-built
 /// [`SweepSolver`], paying only the `R` gradient recombination passes.
+/// The result is bit-identical to [`sensitivity`] on the solver's model
+/// (the precompute is the only work skipped).
 ///
-/// This is the online-repricing entry point: an admission engine that
-/// holds one solver per anchor can refresh its shadow prices per event
-/// batch at recombination cost, and the result is bit-identical to
-/// [`sensitivity`] on the solver's model (the precompute is the only
-/// work skipped).
-pub fn sensitivity_from(sweep: &SweepSolver) -> Sensitivity {
+/// An explicit fixed-range backend can overflow a derivative ray while
+/// its precompute is healthy; [`SweepSolver::gradients`] then returns
+/// inf/NaN entries. Here any non-finite gradient is a
+/// [`SolveError::Guard`], so no caller prices off it.
+pub fn sensitivity_from(sweep: &SweepSolver) -> Result<Sensitivity, SolveError> {
     let r_count = sweep.model().num_classes();
+    let finite = |what: &str, v: f64| {
+        finite_or_err(what, v).map_err(|source| SolveError::Guard {
+            algorithm: sweep.algorithm(),
+            source,
+        })
+    };
     let mut nonblocking_by_rho = vec![vec![0.0; r_count]; r_count];
     let mut concurrency_by_rho = vec![vec![0.0; r_count]; r_count];
     let mut revenue_by_rho = vec![0.0; r_count];
@@ -72,18 +79,18 @@ pub fn sensitivity_from(sweep: &SweepSolver) -> Sensitivity {
     for s in 0..r_count {
         let g = sweep.gradients(s);
         for r in 0..r_count {
-            nonblocking_by_rho[r][s] = g.nonblocking_by_rho[r];
-            concurrency_by_rho[r][s] = g.concurrency_by_rho[r];
+            nonblocking_by_rho[r][s] = finite("dB/drho", g.nonblocking_by_rho[r])?;
+            concurrency_by_rho[r][s] = finite("dE/drho", g.concurrency_by_rho[r])?;
         }
-        revenue_by_rho[s] = g.revenue_by_rho;
-        revenue_by_beta[s] = g.revenue_by_beta;
+        revenue_by_rho[s] = finite("dW/drho", g.revenue_by_rho)?;
+        revenue_by_beta[s] = finite("dW/dbeta", g.revenue_by_beta)?;
     }
-    Sensitivity {
+    Ok(Sensitivity {
         nonblocking_by_rho,
         concurrency_by_rho,
         revenue_by_rho,
         revenue_by_beta,
-    }
+    })
 }
 
 /// The finite-difference oracle: the original central-difference
@@ -271,7 +278,7 @@ mod tests {
 
         let reg = std::sync::Arc::new(xbar_obs::Registry::new());
         let _g = xbar_obs::scope(&reg);
-        let cached = sensitivity_from(&sweep);
+        let cached = sensitivity_from(&sweep).unwrap();
         let snap = reg.snapshot();
         assert!(snap.histogram("span.sweep.precompute").is_none());
         assert_eq!(snap.counter("sweep.gradients"), Some(2));

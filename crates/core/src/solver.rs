@@ -9,7 +9,7 @@
 pub mod cache;
 pub mod resilient;
 
-pub use cache::{solve_batch, solve_cached, SolveCache};
+pub use cache::{solve_cached, SolveCache};
 
 use std::fmt;
 

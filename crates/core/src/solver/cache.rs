@@ -7,9 +7,10 @@
 //! re-enter `solve`, and experiment drivers anchor several series on one
 //! shared configuration. [`SolveCache`] memoizes by a canonicalised model
 //! fingerprint so those repeats cost a hash lookup instead of an
-//! `O(N1·N2·R)` sweep; [`solve_batch`] fans a slice of models out over a
-//! [`crossbeam::queue::SegQueue`] work pool (work-stealing, so unbalanced
-//! sweeps with large-`N` tails no longer serialise on the slowest chunk).
+//! `O(N1·N2·R)` sweep; [`SolveCache::solve_fleet`] fans a slice of models
+//! out over a [`crossbeam::queue::SegQueue`] work pool (work-stealing, so
+//! unbalanced sweeps with large-`N` tails no longer serialise on the
+//! slowest chunk).
 //!
 //! # Cache-key canonicalisation
 //!
@@ -137,7 +138,7 @@ impl SolveCache {
             }
         }
         // Miss: solve without holding the lock (a solve can take seconds at
-        // N = 512; serialising misses would defeat solve_batch entirely).
+        // N = 512; serialising misses would defeat solve_fleet entirely).
         self.misses.fetch_add(1, Ordering::Relaxed);
         xbar_obs::inc("cache.misses");
         let sol = Arc::new(solve(model, algorithm)?);
@@ -237,7 +238,7 @@ impl SolveCache {
 pub const GLOBAL_CACHE_CAPACITY: usize = 64;
 
 /// The process-wide [`SolveCache`] used by [`solve_cached`],
-/// [`solve_batch`], and the resilient pipeline.
+/// [`crate::solve_fleet`], and the resilient pipeline.
 pub fn global_cache() -> &'static SolveCache {
     static GLOBAL: OnceLock<SolveCache> = OnceLock::new();
     GLOBAL.get_or_init(|| SolveCache::new(GLOBAL_CACHE_CAPACITY))
@@ -249,21 +250,6 @@ pub fn global_cache() -> &'static SolveCache {
 /// `Arc`.
 pub fn solve_cached(model: &Model, algorithm: Algorithm) -> Result<Arc<Solution>, SolveError> {
     global_cache().get_or_solve(model, algorithm)
-}
-
-/// Solve every model in `models`, fanning out over the persistent
-/// worker pool with work stealing, and return the results in input
-/// order. Since PR 7 this is [`SolveCache::solve_fleet`] on the
-/// process-wide cache: duplicate models are deduplicated up front, the
-/// unique misses are stolen off a shared queue by persistent pool
-/// workers (each inner solve pinned to one thread — with whole models
-/// to hand out, across-model parallelism strictly dominates nested
-/// wavefront parallelism), and solves are memoized across batches.
-pub fn solve_batch(
-    models: &[Model],
-    algorithm: Algorithm,
-) -> Vec<Result<Arc<Solution>, SolveError>> {
-    global_cache().solve_fleet(models, algorithm)
 }
 
 #[cfg(test)]
@@ -360,41 +346,5 @@ mod tests {
         // β = -0.0 and β = 0.0 describe the same (Poisson) class.
         assert_eq!(canon_bits(-0.0), canon_bits(0.0));
         assert_ne!(canon_bits(1.0), canon_bits(-1.0));
-    }
-
-    #[test]
-    fn batch_matches_individual_solves_in_order() {
-        let models: Vec<Model> = (3..11).map(|n| mixed_model(n, n + 1)).collect();
-        let batch = solve_batch(&models, Algorithm::Auto);
-        assert_eq!(batch.len(), models.len());
-        for (m, r) in models.iter().zip(&batch) {
-            let sol = r.as_ref().expect("solves");
-            assert_eq!(sol.model(), m);
-            let direct = solve(m, Algorithm::Auto).unwrap();
-            assert_eq!(sol.measures(), direct.measures());
-        }
-    }
-
-    #[test]
-    fn batch_reports_per_model_errors_in_place() {
-        let w = Workload::new().with(TrafficClass::poisson(1e-5));
-        let big = Model::new(Dims::square(200), w).unwrap();
-        let models = vec![mixed_model(5, 5), big, mixed_model(6, 6)];
-        let batch = solve_batch(&models, Algorithm::Alg1F64);
-        assert!(batch[0].is_ok());
-        assert!(matches!(batch[1], Err(SolveError::Underflow(_))));
-        assert!(batch[2].is_ok());
-    }
-
-    #[test]
-    fn batch_deduplicates_repeated_models_via_cache() {
-        let m = mixed_model(7, 7);
-        let models = vec![m.clone(), m.clone(), m];
-        let batch = solve_batch(&models, Algorithm::Auto);
-        let a = batch[0].as_ref().unwrap();
-        let b = batch[2].as_ref().unwrap();
-        // All three served from one cached solve (possibly racing on the
-        // first fill, but at least the later ones share).
-        assert_eq!(a.measures(), b.measures());
     }
 }

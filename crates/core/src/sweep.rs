@@ -1382,6 +1382,14 @@ mod tests {
         let model = Model::new(Dims::square(128), w).unwrap();
         let scaled = SweepSolver::new(&model, Algorithm::Alg1Scaled).unwrap();
         assert!(!scaled.gradients(0).is_finite());
+        // Assembled into a sensitivity, the explicit backend refuses.
+        assert!(matches!(
+            crate::sensitivity_from(&scaled),
+            Err(SolveError::Guard {
+                algorithm: Algorithm::Alg1Scaled,
+                ..
+            })
+        ));
         let reg = std::sync::Arc::new(xbar_obs::Registry::new());
         let _g = xbar_obs::scope(&reg);
         let auto = SweepSolver::new(&model, Algorithm::Auto).unwrap();

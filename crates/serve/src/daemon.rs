@@ -50,8 +50,7 @@
 //! to non-empty and rejoins at the back after a pop that leaves events
 //! behind, so each ready tenant gets one event per round. A tenant whose
 //! drift check defers a re-anchor joins a **pending list** (at most
-//! once); the end of each pump completes that list, in name order, in
-//! one fleet batch.
+//! once); the end of each pump completes that list.
 //!
 //! Tenants are visited in ready order, not name order. Nothing durable
 //! depends on that order: a tenant's decisions and WAL depend only on its
@@ -156,9 +155,6 @@ pub struct DaemonConfig {
     /// Chaos hook: `std::process::abort()` after exactly this many events
     /// applied by this process — a deterministic `kill -9`.
     pub kill_after: Option<u64>,
-    /// Honour restart backoffs with real sleeps (CLI mode). Tests leave
-    /// this off and read the recorded backoff total instead.
-    pub sleep_on_backoff: bool,
 }
 
 impl Default for DaemonConfig {
@@ -168,7 +164,6 @@ impl Default for DaemonConfig {
             queue_cap: 0,
             pump_budget: u64::MAX,
             kill_after: None,
-            sleep_on_backoff: false,
         }
     }
 }
@@ -184,13 +179,10 @@ pub struct DaemonCounters {
     pub applied: u64,
     /// Events skipped as duplicates of durable state (crash resume).
     pub duplicates: u64,
-    /// Total restart backoff accumulated (nanoseconds), whether or not it
-    /// was slept.
-    pub backoff_ns: u64,
-    /// Drift-triggered re-anchors completed through a coalesced fleet
-    /// batch (rather than inline, one solve at a time).
+    /// Drift-triggered re-anchors completed at the end of a pump pass
+    /// (rather than inline).
     pub batched_reanchors: u64,
-    /// Fleet batches issued to complete pending re-anchors. Always
+    /// Pump passes that completed pending re-anchors. Always
     /// `<= batched_reanchors` (every batch completes at least one).
     pub reanchor_batches: u64,
 }
@@ -307,8 +299,9 @@ impl Daemon {
 
     /// Open (or recover) tenant `name` and give it the next dense id.
     fn open_tenant(&mut self, name: &str) -> Result<(usize, RecoveryReport), ServeError> {
-        // Daemon-owned tenants defer drift re-anchors so each pump pass
-        // can coalesce them into one fleet solve.
+        // Daemon-owned tenants defer drift re-anchors to the end of the
+        // pump pass, so a snapshot written during the pass holds the
+        // pre-re-anchor weight.
         let mut tcfg = self.cfg.tenant.clone();
         tcfg.coalesce_reanchors = true;
         let (tenant, report) = Tenant::open(name, &self.dir, &self.model, tcfg)?;
@@ -422,8 +415,7 @@ impl Daemon {
     }
 
     /// Apply up to `budget` queued events, one per ready tenant per round.
-    /// Returns how many were applied. Honours the chaos `kill_after` hook
-    /// and per-tenant restart backoffs.
+    /// Returns how many were applied. Honours the chaos `kill_after` hook.
     pub fn pump(&mut self, budget: u64) -> Result<u64, ServeError> {
         let mut applied = 0u64;
         while applied < budget {
@@ -456,29 +448,15 @@ impl Daemon {
                     }
                 }
             }
-            if let Some(backoff) = slot.tenant.take_backoff() {
-                self.counters.backoff_ns += backoff.as_nanos() as u64;
-                if self.cfg.sleep_on_backoff {
-                    std::thread::sleep(backoff);
-                }
-            }
         }
         self.complete_pending_reanchors()?;
         Ok(applied)
     }
 
-    /// Complete every deferred drift re-anchor on the pending list in one
-    /// fleet batch: a single [`xbar_core::solve_fleet`] call pre-warms the
-    /// global solve cache (deduped, sharded over the worker pool), so each
-    /// tenant's own `re_anchor` below is a cache hit instead of a fresh
-    /// sequential solve. Quarantined tenants leave the list uncompleted.
-    /// Per-tenant failure supervision is untouched — fleet errors are not
-    /// consumed here; the tenant's re-anchor hits the same error and walks
-    /// its own restart/quarantine ladder.
+    /// Complete every deferred drift re-anchor on the pending list, in
+    /// the order the tenants deferred them. Quarantined tenants leave the
+    /// list uncompleted.
     fn complete_pending_reanchors(&mut self) -> Result<(), ServeError> {
-        if self.pending.is_empty() {
-            return Ok(());
-        }
         let slots = &mut self.slots;
         self.pending.retain(|&id| {
             let due = !slots[id].tenant.quarantined();
@@ -488,31 +466,13 @@ impl Daemon {
         if self.pending.is_empty() {
             return Ok(());
         }
-        // Reverse name order, so popping completes tenants by name.
-        self.pending
-            .sort_unstable_by(|&a, &b| slots[b].name.cmp(&slots[a].name));
-        let models: Vec<Model> = self
-            .pending
-            .iter()
-            .rev()
-            .map(|&id| slots[id].tenant.model().clone())
-            .collect();
-        let _ = xbar_core::solve_fleet(&models, self.cfg.tenant.algorithm);
-        self.counters.batched_reanchors += models.len() as u64;
+        self.counters.batched_reanchors += self.pending.len() as u64;
         self.counters.reanchor_batches += 1;
-        xbar_obs::record("serve.reanchor.batch_size", models.len() as f64);
-        // Pop before completing: on an error the rest stay listed for the
-        // next pass.
-        while let Some(id) = self.pending.pop() {
+        xbar_obs::record("serve.reanchor.batch_size", self.pending.len() as f64);
+        for id in self.pending.drain(..) {
             let slot = &mut slots[id];
             slot.pending = false;
             slot.tenant.complete_pending_reanchor()?;
-            if let Some(backoff) = slot.tenant.take_backoff() {
-                self.counters.backoff_ns += backoff.as_nanos() as u64;
-                if self.cfg.sleep_on_backoff {
-                    std::thread::sleep(backoff);
-                }
-            }
         }
         Ok(())
     }
@@ -640,6 +600,7 @@ impl Daemon {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xbar_admission::PolicySpec;
     use xbar_core::Dims;
     use xbar_traffic::{TrafficClass, Workload};
 
@@ -927,19 +888,75 @@ mod tests {
             }
             daemon.drain().unwrap();
         }
-        // One batch completed all three pending re-anchors...
+        // One batch completed all three pending re-anchors, with no
+        // solve, and each tenant re-anchored exactly once despite
+        // drifting on every event in the pass.
         assert_eq!(daemon.counters().reanchor_batches, 1);
         assert_eq!(daemon.counters().batched_reanchors, 3);
-        // ...through a single fleet solve (identical models dedupe), and
-        // each tenant re-anchored exactly once despite drifting on every
-        // event in the pass.
         let snap = reg.snapshot();
-        assert_eq!(snap.counter("fleet.solves"), Some(1));
+        assert_eq!(snap.counter("fleet.solves"), None);
         for t in ["t1", "t2", "t3"] {
             let tenant = daemon.tenant(t).unwrap();
             assert!(!tenant.reanchor_pending());
             assert_eq!(tenant.engine().stats().re_anchors, 1, "{t}");
             assert!(!tenant.anchor_stale());
+        }
+    }
+
+    #[test]
+    fn re_anchors_make_no_solve_and_keep_the_thresholds() {
+        // A cheap, hungry class next to a valuable one, so the shadow
+        // thresholds are non-trivial.
+        let m = Model::new(
+            Dims::square(4),
+            Workload::new()
+                .with(TrafficClass::poisson(0.25).with_weight(1.0))
+                .with(TrafficClass::poisson(0.5).with_weight(0.01)),
+        )
+        .unwrap();
+        let tenants = ["t0", "t1", "t2"];
+        for (name, policy, want, precomputes) in [
+            ("cs", PolicySpec::CompleteSharing, [0, 0], 0),
+            ("shadow", PolicySpec::ShadowPrice { reserve: 2 }, [0, 2], 3),
+        ] {
+            // Every applied event trips the drift check (see
+            // `drift_reanchors_coalesce_into_one_fleet_batch_per_pump`).
+            let cfg = DaemonConfig {
+                tenant: TenantConfig {
+                    policy,
+                    reprice_batch: Some(2),
+                    drift_tol: -1.0,
+                    check_interval: 1,
+                    ..TenantConfig::default()
+                },
+                ..DaemonConfig::default()
+            };
+            let reg = std::sync::Arc::new(xbar_obs::Registry::new());
+            let (mut daemon, _) = Daemon::open(&dir(&format!("no_solve_{name}")), &m, cfg).unwrap();
+            {
+                let _g = xbar_obs::scope(&reg);
+                for round in 0..4 {
+                    for t in tenants {
+                        daemon.ingest_line(&format!("{t} a {}", round % 2)).unwrap();
+                    }
+                    daemon.drain().unwrap();
+                    for t in tenants {
+                        let engine = daemon.tenant(t).unwrap().engine();
+                        assert_eq!(engine.thresholds(), want, "{name} {t} round {round}");
+                        assert_eq!(engine.stats().re_anchors, round + 1, "{name} {t}");
+                    }
+                }
+            }
+            let snap = reg.snapshot();
+            assert_eq!(snap.counter("cache.misses").unwrap_or(0), 0, "{name}");
+            assert_eq!(snap.counter("cache.hits").unwrap_or(0), 0, "{name}");
+            let built: u64 = snap
+                .histograms
+                .iter()
+                .filter(|(n, _)| n.ends_with("sweep.precompute"))
+                .map(|(_, h)| h.count)
+                .sum();
+            assert_eq!(built, precomputes, "{name}: one precompute per tenant open");
         }
     }
 

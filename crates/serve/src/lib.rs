@@ -17,12 +17,13 @@
 //!    restoring the snapshot and replaying the WAL suffix. The WAL is the
 //!    source of truth: a corrupt or stale snapshot degrades to a full
 //!    replay, never to data loss.
-//! 2. **Supervision** ([`tenant`]) — engine integrity failures (anchor
-//!    solve errors, corrupted restored state, non-finite drift) restart
-//!    the tenant from durable storage under capped exponential backoff;
-//!    after `max_failures` consecutive failures the tenant is
+//! 2. **Supervision** ([`tenant`]) — semantically invalid events
+//!    (unknown class, departure with nothing in progress) are rejected
+//!    durably; after `max_failures` consecutive rejections the tenant is
 //!    **quarantined**: arrivals shed durably, departures rejected, the
-//!    rest of the fleet unaffected.
+//!    rest of the fleet unaffected. The engine's pricing is computed once
+//!    when a tenant opens and a drift re-anchor cannot fail, so there is
+//!    no engine failure to restart from.
 //! 3. **Graceful degradation** ([`daemon`]) — per-tenant ingest queues
 //!    are bounded; overflow is *load-shed with a durable record* (so the
 //!    exit-6 accounting invariant `offers = admitted + denied(capacity) +

@@ -18,13 +18,13 @@
 //!
 //! Semantically invalid events (unknown class, departure with nothing in
 //! progress) are rejected durably and counted — they are data problems,
-//! not engine problems. Integrity failures (re-anchor solve errors) are
-//! engine problems: the tenant restarts from durable storage and reports
-//! a capped-exponential backoff for the caller to honour. Either kind
-//! increments a consecutive-failure count (any success resets it); at
-//! `max_failures` the tenant is **quarantined**: arrivals shed durably,
-//! departures rejected, everything still accounted, the process and the
-//! other tenants unaffected.
+//! not engine problems. Each one increments a consecutive-failure count
+//! (any success resets it); at `max_failures` the tenant is
+//! **quarantined**: arrivals shed durably, departures rejected,
+//! everything still accounted, the process and the other tenants
+//! unaffected. The engine itself has no failure to supervise: its
+//! pricing is computed once when the tenant opens, and a drift re-anchor
+//! solves nothing and cannot fail.
 
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -43,29 +43,27 @@ use crate::ServeError;
 pub struct TenantConfig {
     /// Admission policy.
     pub policy: PolicySpec,
-    /// Anchor-solve algorithm.
+    /// Backend of the shadow policy's pricing gradients (see
+    /// [`EngineConfig::algorithm`]).
     pub algorithm: Algorithm,
     /// Applied events between drift checks of the incremental log-weight
-    /// (0 disables; the serve layer drives checks itself so restarts and
-    /// deadlines stay under supervision, the engine's internal periodic
-    /// check is always off).
+    /// (0 disables; the serve layer drives checks itself so deadlines
+    /// stay under supervision, the engine's internal periodic check is
+    /// always off).
     pub check_interval: u64,
     /// Relative drift tolerance (same contract as
     /// [`EngineConfig::drift_tol`]).
     pub drift_tol: f64,
     /// Applied events between durable snapshots (0 = only on shutdown).
     pub snapshot_interval: u64,
-    /// Consecutive failures before the tenant is quarantined.
+    /// Consecutive failed applies (rejected events) before the tenant is
+    /// quarantined.
     pub max_failures: u32,
-    /// First restart backoff; doubles per consecutive failure.
-    pub backoff_base: Duration,
-    /// Backoff ceiling.
-    pub backoff_cap: Duration,
-    /// Latency budget for a drift-triggered full re-anchor. When the
-    /// budget is already spent by the time the drift check completes, the
-    /// tenant falls back to correcting the weight against the **stale
-    /// anchor** (an `O(N)` exact recompute) instead of paying for a fresh
-    /// solve — the event loop keeps its deadline, the
+    /// Latency budget for a drift-triggered re-anchor. When the budget is
+    /// already spent by the time the re-anchor would run (a coalesced one
+    /// waits for the end of the pump pass), the tenant only corrects the
+    /// weight (an `O(N)` exact recompute) and marks the anchor **stale**:
+    /// the pricing gradient keeps its old timestamp, and the
     /// `serve.anchor_stale` gauge reports the degradation. `None` means
     /// no deadline (always re-anchor fully); `Some(ZERO)` deterministically
     /// forces the stale path, which is what the chaos tests pin.
@@ -74,8 +72,8 @@ pub struct TenantConfig {
     pub sync_every: u64,
     /// Defer drift-triggered re-anchors instead of completing them
     /// inline: `maintain` records the detection time and returns, and the
-    /// owner (the daemon) batches every pending re-anchor into one fleet
-    /// solve per pump pass via [`Tenant::complete_pending_reanchor`]. The
+    /// owner (the daemon) completes every pending re-anchor at the end of
+    /// the pump pass via [`Tenant::complete_pending_reanchor`]. The
     /// `reanchor_deadline` budget still measures from detection. Off by
     /// default so a standalone tenant corrects drift immediately.
     pub coalesce_reanchors: bool,
@@ -85,7 +83,7 @@ pub struct TenantConfig {
     /// events. The `reanchor_deadline` doubles as the engine's
     /// `price_deadline`, so a gradient older than the deadline refuses to
     /// price and is routed through the (possibly coalesced) re-anchor
-    /// path instead. `None` disables repricing.
+    /// path, which restamps it. `None` disables repricing.
     pub reprice_batch: Option<u64>,
 }
 
@@ -98,8 +96,6 @@ impl Default for TenantConfig {
             drift_tol: 1e-9,
             snapshot_interval: 4096,
             max_failures: 5,
-            backoff_base: Duration::from_millis(10),
-            backoff_cap: Duration::from_secs(5),
             reanchor_deadline: None,
             sync_every: 0,
             coalesce_reanchors: false,
@@ -119,7 +115,9 @@ pub struct ServeCounters {
     /// Events that arrived in clock-skewed batches (timestamp ran
     /// backwards within the tenant's stream).
     pub skewed: u64,
-    /// Supervised engine restarts from durable storage.
+    /// Engine restarts from durable storage. Kept in the snapshot format
+    /// so existing snapshots load; no code path restarts an engine, so
+    /// only a restored snapshot sets it.
     pub restarts: u64,
     /// Drift corrections that kept a stale anchor (re-anchor deadline
     /// exceeded).
@@ -161,15 +159,15 @@ pub enum Outcome {
     Rejected,
     /// `seq` was already durable (replay after crash) — skipped.
     Duplicate,
-    /// The event was absorbed but this apply tripped the quarantine
-    /// threshold (integrity failures, not this event's fault).
+    /// This apply tripped the quarantine threshold: the event was
+    /// durably rejected as the last of `max_failures` consecutive
+    /// failures.
     Quarantined,
 }
 
 /// One supervised tenant.
 pub struct Tenant {
     name: String,
-    model: Model,
     cfg: TenantConfig,
     fp: u64,
     engine: AdmissionEngine,
@@ -202,7 +200,6 @@ pub struct Tenant {
     events_since_check: u64,
     events_since_snapshot: u64,
     anchor_stale: bool,
-    pending_backoff: Option<Duration>,
     /// Detection time of a deferred re-anchor (coalescing mode); the
     /// earliest detection wins so the deadline covers the worst case.
     pending_reanchor: Option<Instant>,
@@ -212,8 +209,9 @@ fn engine_cfg(cfg: &TenantConfig) -> EngineConfig {
     EngineConfig {
         policy: cfg.policy.clone(),
         algorithm: cfg.algorithm,
-        // The serve layer drives drift checks so failures stay supervised;
-        // the engine's own periodic check must never fire mid-apply.
+        // The serve layer drives drift checks under its re-anchor
+        // deadline; the engine's own periodic check must never fire
+        // mid-apply.
         check_interval: 0,
         drift_tol: cfg.drift_tol,
         reprice_batch: cfg.reprice_batch,
@@ -248,7 +246,6 @@ impl Tenant {
         let snap_path = Self::snapshot_path(dir, name);
         let mut tenant = Tenant {
             name: name.to_string(),
-            model: model.clone(),
             cfg,
             fp,
             engine,
@@ -263,7 +260,6 @@ impl Tenant {
             events_since_check: 0,
             events_since_snapshot: 0,
             anchor_stale: false,
-            pending_backoff: None,
             pending_reanchor: None,
         };
         let mut report = RecoveryReport {
@@ -434,26 +430,22 @@ impl Tenant {
                     self.counters.skewed += 1;
                 }
                 self.consecutive_failures = 0;
-                let tripped = self.after_apply()?;
-                Ok(if tripped {
-                    Outcome::Quarantined
-                } else {
-                    match decision {
-                        Some(Decision::Admit) => Outcome::Admitted,
-                        Some(Decision::Deny(r)) => Outcome::Denied(r),
-                        None => Outcome::Departed,
-                    }
+                self.after_apply()?;
+                Ok(match decision {
+                    Some(Decision::Admit) => Outcome::Admitted,
+                    Some(Decision::Deny(r)) => Outcome::Denied(r),
+                    None => Outcome::Departed,
                 })
             }
             Err(AdmissionError::StalePrices { .. }) => {
                 // Repricing runs last in the engine's tick, so the event
                 // itself was fully applied and accounted before the
                 // refusal — record it durably like any absorbed event.
-                // The refusal is a *freshness* problem, not an integrity
-                // one: count it and route a re-anchor through the
-                // (possibly coalesced) drift-correction path so the
-                // pricing gradient gets refreshed under the same deadline
-                // supervision as any other anchor work.
+                // The refusal is a *freshness* problem, not a data one:
+                // count it and route a re-anchor through the (possibly
+                // coalesced) drift-correction path so the pricing gradient
+                // gets restamped under the same deadline supervision as
+                // any other anchor work.
                 self.append(seq, kind, class16, skewed)?;
                 if skewed {
                     self.counters.skewed += 1;
@@ -461,31 +453,24 @@ impl Tenant {
                 self.consecutive_failures = 0;
                 self.counters.stale_reprices += 1;
                 xbar_obs::inc("serve.reprice.stale");
-                let mut tripped = if self.cfg.coalesce_reanchors {
+                if self.cfg.coalesce_reanchors {
                     self.pending_reanchor.get_or_insert(Instant::now());
-                    false
                 } else {
-                    self.finish_reanchor(Instant::now())?
-                };
-                if self.after_apply()? {
-                    tripped = true;
+                    self.finish_reanchor(Instant::now());
                 }
-                Ok(if tripped {
-                    Outcome::Quarantined
-                } else {
-                    match kind {
-                        RecordKind::Arrival => {
-                            let after = self.engine.stats().per_class[class];
-                            if after.admitted > before.admitted {
-                                Outcome::Admitted
-                            } else if after.denied_capacity > before.denied_capacity {
-                                Outcome::Denied(DenyReason::Capacity)
-                            } else {
-                                Outcome::Denied(DenyReason::Policy)
-                            }
+                self.after_apply()?;
+                Ok(match kind {
+                    RecordKind::Arrival => {
+                        let after = self.engine.stats().per_class[class];
+                        if after.admitted > before.admitted {
+                            Outcome::Admitted
+                        } else if after.denied_capacity > before.denied_capacity {
+                            Outcome::Denied(DenyReason::Capacity)
+                        } else {
+                            Outcome::Denied(DenyReason::Policy)
                         }
-                        _ => Outcome::Departed,
                     }
+                    _ => Outcome::Departed,
                 })
             }
             Err(e) => self.supervise_apply_error(seq, class16, skewed, e),
@@ -511,16 +496,13 @@ impl Tenant {
         Ok(out)
     }
 
-    /// Post-apply bookkeeping: drift checks (with restart supervision and
-    /// the deadline-bound stale-anchor fallback) and periodic snapshots.
-    /// Returns `true` when this apply tripped the quarantine threshold.
-    fn after_apply(&mut self) -> Result<bool, ServeError> {
+    /// Post-apply bookkeeping: drift checks (with the deadline-bound
+    /// stale-anchor fallback) and periodic snapshots.
+    fn after_apply(&mut self) -> Result<(), ServeError> {
         self.events_since_check += 1;
         if self.cfg.check_interval > 0 && self.events_since_check >= self.cfg.check_interval {
             self.events_since_check = 0;
-            if self.maintain()? {
-                return Ok(true);
-            }
+            self.maintain();
         }
         self.events_since_snapshot += 1;
         if self.cfg.snapshot_interval > 0
@@ -529,17 +511,16 @@ impl Tenant {
             self.events_since_snapshot = 0;
             self.write_snapshot()?;
         }
-        Ok(false)
+        Ok(())
     }
 
     /// Exact drift check, with the degraded-mode ladder:
     /// within tolerance → nothing; drifted and inside the deadline →
-    /// full re-anchor (restart supervision on failure); drifted but the
-    /// deadline is already spent → correct the weight against the stale
-    /// anchor and report it. In coalescing mode a detected drift is
-    /// deferred to [`Tenant::complete_pending_reanchor`] instead of
-    /// corrected inline. Returns `true` on quarantine.
-    fn maintain(&mut self) -> Result<bool, ServeError> {
+    /// re-anchor; drifted but the deadline is already spent → correct the
+    /// weight, keep the stale anchor and report it. In coalescing mode a
+    /// detected drift is deferred to [`Tenant::complete_pending_reanchor`]
+    /// instead of corrected inline.
+    fn maintain(&mut self) {
         let start = Instant::now();
         let exact = self.engine.exact_log_weight();
         let drift = (self.engine.log_weight() - exact).abs();
@@ -547,15 +528,14 @@ impl Tenant {
         #[allow(clippy::neg_cmp_op_on_partial_ord)]
         if !(drift <= self.cfg.drift_tol * exact.abs().max(1.0)) {
             if self.cfg.coalesce_reanchors {
-                // Defer: the daemon completes every pending re-anchor in
-                // one fleet batch after the pump pass. Keep the earliest
-                // detection so the deadline covers the worst case.
+                // Defer: the daemon completes every pending re-anchor
+                // after the pump pass. Keep the earliest detection so the
+                // deadline covers the worst case.
                 self.pending_reanchor.get_or_insert(start);
-                return Ok(false);
+            } else {
+                self.finish_reanchor(start);
             }
-            return self.finish_reanchor(start);
         }
-        Ok(false)
     }
 
     /// Whether a deferred re-anchor is waiting for the owner to complete.
@@ -564,95 +544,35 @@ impl Tenant {
     }
 
     /// Complete a deferred re-anchor (coalescing mode). No-op when
-    /// nothing is pending or the tenant is quarantined. Returns `true`
-    /// when completion tripped the quarantine threshold.
-    pub fn complete_pending_reanchor(&mut self) -> Result<bool, ServeError> {
-        let Some(detected) = self.pending_reanchor.take() else {
-            return Ok(false);
-        };
-        if self.quarantined {
-            return Ok(false);
+    /// nothing is pending or the tenant is quarantined. It cannot fail;
+    /// it returns a `Result` so callers can chain it with
+    /// [`Tenant::apply`].
+    pub fn complete_pending_reanchor(&mut self) -> Result<(), ServeError> {
+        if let Some(detected) = self.pending_reanchor.take() {
+            if !self.quarantined {
+                self.finish_reanchor(detected);
+            }
         }
-        self.finish_reanchor(detected)
+        Ok(())
     }
 
-    /// The degraded-mode tail of a drift correction, measured from the
-    /// drift-detection time: inside the deadline → full re-anchor
-    /// (restart supervision on failure); deadline already spent → correct
-    /// the weight against the stale anchor and report it. Returns `true`
-    /// on quarantine.
-    fn finish_reanchor(&mut self, detected: Instant) -> Result<bool, ServeError> {
+    /// The tail of a drift correction, measured from the drift-detection
+    /// time: inside the deadline → re-anchor; deadline already spent →
+    /// correct the weight, keep the stale anchor and report it.
+    fn finish_reanchor(&mut self, detected: Instant) {
         let budget_spent = match self.cfg.reanchor_deadline {
             Some(d) => detected.elapsed() >= d,
             None => false,
         };
         if budget_spent {
-            // Deadline blown before we could even start the solve:
-            // cheap exact weight reset, anchor stays stale.
             self.engine.reset_weight();
             self.counters.stale_reanchors += 1;
             self.anchor_stale = true;
             xbar_obs::inc("serve.reanchor.stale");
         } else {
-            match self.engine.re_anchor() {
-                Ok(()) => self.anchor_stale = false,
-                Err(e) => return self.supervise_integrity_error(e).map(|()| self.quarantined),
-            }
+            self.engine.re_anchor().unwrap_or_else(|e| match e {});
+            self.anchor_stale = false;
         }
-        Ok(false)
-    }
-
-    /// An integrity failure (anchor solve error, poisoned state) restarts
-    /// the tenant from durable storage under capped exponential backoff;
-    /// at the threshold it quarantines instead.
-    fn supervise_integrity_error(&mut self, e: AdmissionError) -> Result<(), ServeError> {
-        self.consecutive_failures += 1;
-        if self.consecutive_failures >= self.cfg.max_failures {
-            let _ = e;
-            self.enter_quarantine()?;
-            return Ok(());
-        }
-        self.restart_from_disk()?;
-        let shift = (self.consecutive_failures - 1).min(32);
-        let backoff = self
-            .cfg
-            .backoff_base
-            .saturating_mul(1u32 << shift.min(31))
-            .min(self.cfg.backoff_cap);
-        self.pending_backoff = Some(backoff);
-        xbar_obs::inc("serve.restarts");
-        Ok(())
-    }
-
-    /// Rebuild the engine from the snapshot + WAL, exactly like
-    /// [`Tenant::open`]. Counters are reconstructed from durable state;
-    /// the restart count itself is carried forward (it describes this
-    /// process's life, not the durable history).
-    fn restart_from_disk(&mut self) -> Result<(), ServeError> {
-        let restarts = self.counters.restarts;
-        self.engine = AdmissionEngine::new(&self.model, engine_cfg(&self.cfg))?;
-        self.counters = ServeCounters::default();
-        self.durable_seq = 0;
-        let mut skip = 0usize;
-        if let Some(snap) = snapshot::load(&self.snap_path)? {
-            if snap.model_fp == self.fp && self.engine.restore_state(&snap.engine).is_ok() {
-                self.counters = snap.counters;
-                self.quarantined = snap.quarantined;
-                self.durable_seq = snap.seq;
-                skip = snap.wal_records as usize;
-            }
-        }
-        let recovery = crate::wal::recover(self.wal.path())?;
-        for rec in recovery.records.iter().skip(skip) {
-            self.replay_record(rec);
-        }
-        let max_rec_seq = recovery.records.iter().map(|r| r.seq).max().unwrap_or(0);
-        self.durable_seq = self.durable_seq.max(max_rec_seq);
-        // resume_seq and the dedupe set stay what open() computed: the
-        // in-memory queues survived this in-process restart, so events
-        // above the original watermark must still apply.
-        self.counters.restarts = restarts + 1;
-        Ok(())
     }
 
     fn enter_quarantine(&mut self) -> Result<(), ServeError> {
@@ -685,13 +605,6 @@ impl Tenant {
         self.write_snapshot()
     }
 
-    /// Take (and clear) the backoff the caller should honour before
-    /// feeding this tenant again — set when supervision restarted the
-    /// engine.
-    pub fn take_backoff(&mut self) -> Option<Duration> {
-        self.pending_backoff.take()
-    }
-
     /// Tenant name.
     pub fn name(&self) -> &str {
         &self.name
@@ -700,11 +613,6 @@ impl Tenant {
     /// The supervised engine (read access for audits and tests).
     pub fn engine(&self) -> &AdmissionEngine {
         &self.engine
-    }
-
-    /// The tenant's traffic model (read access for fleet batching).
-    pub fn model(&self) -> &Model {
-        &self.model
     }
 
     /// Serve-level counters.

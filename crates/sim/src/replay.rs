@@ -20,7 +20,7 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use xbar_admission::{AdmissionEngine, AdmissionError, Decision, EngineConfig};
-use xbar_core::Model;
+use xbar_core::{solve_cached, Model, Solution};
 use xbar_numeric::permutation;
 
 use crate::rates::RateTable;
@@ -35,7 +35,7 @@ pub struct ReplayConfig {
     pub seed: u64,
     /// Batches for the acceptance-fraction confidence interval.
     pub batches: usize,
-    /// Engine construction parameters (policy, anchor algorithm, drift).
+    /// Engine construction parameters (policy, solve backend, drift).
     pub engine: EngineConfig,
 }
 
@@ -63,7 +63,7 @@ pub struct ClassReplay {
     pub denied_policy: u64,
     /// Batch-means estimate of the admitted fraction (99% CI).
     pub acceptance: Estimate,
-    /// The anchor's analytic call acceptance `1 − B_r^{call}` that a
+    /// The analytic call acceptance `1 − B_r^{call}` that a
     /// complete-sharing replay should reproduce.
     pub analytic_acceptance: f64,
 }
@@ -77,7 +77,7 @@ pub struct ReplayReport {
     pub arrivals: u64,
     /// Departure events.
     pub departures: u64,
-    /// Times the engine re-anchored from the solve cache.
+    /// Times the engine re-anchored.
     pub re_anchors: u64,
     /// Per-batch repricing passes the engine ran (0 unless
     /// [`EngineConfig::reprice_batch`] is set).
@@ -103,10 +103,11 @@ fn tuple_counts(model: &Model) -> Vec<f64> {
         .collect()
 }
 
-/// Assemble the [`ReplayReport`] from the engine's decision ledger and the
-/// per-batch acceptance counts.
+/// Assemble the [`ReplayReport`] from the engine's decision ledger, the
+/// per-batch acceptance counts and the analytic solve.
 fn finish(
     engine: &AdmissionEngine,
+    analytic: &Solution,
     batch_counts: &[Vec<(u64, u64)>],
     arrivals: u64,
     departures: u64,
@@ -122,7 +123,7 @@ fn finish(
                 denied_capacity: cs.denied_capacity,
                 denied_policy: cs.denied_policy,
                 acceptance: fractions.estimate_at(Confidence::P99),
-                analytic_acceptance: engine.analytic_acceptance(r),
+                analytic_acceptance: analytic.call_acceptance(r),
             }
         })
         .collect();
@@ -149,6 +150,7 @@ fn finish(
 /// selection scan (see [`crate::rates`]); the differential proptest
 /// battery and the golden-stream tests pin this.
 pub fn replay(model: &Model, cfg: &ReplayConfig) -> Result<ReplayReport, AdmissionError> {
+    let analytic = solve_cached(model, cfg.engine.algorithm).map_err(AdmissionError::Solve)?;
     let mut engine = AdmissionEngine::new(model, cfg.engine.clone())?;
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let classes = model.workload().classes();
@@ -228,7 +230,13 @@ pub fn replay(model: &Model, cfg: &ReplayConfig) -> Result<ReplayReport, Admissi
     if xbar_obs::enabled() {
         xbar_obs::add("replay.events", arrivals + departures);
     }
-    Ok(finish(&engine, &batch_counts, arrivals, departures))
+    Ok(finish(
+        &engine,
+        &analytic,
+        &batch_counts,
+        arrivals,
+        departures,
+    ))
 }
 
 /// The pre-optimisation replay loop, kept verbatim as the differential
@@ -240,6 +248,7 @@ pub fn replay(model: &Model, cfg: &ReplayConfig) -> Result<ReplayReport, Admissi
 /// Not part of the supported API surface.
 #[doc(hidden)]
 pub fn replay_legacy(model: &Model, cfg: &ReplayConfig) -> Result<ReplayReport, AdmissionError> {
+    let analytic = solve_cached(model, cfg.engine.algorithm).map_err(AdmissionError::Solve)?;
     let mut engine = AdmissionEngine::new(model, cfg.engine.clone())?;
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let classes = model.workload().classes();
@@ -308,7 +317,13 @@ pub fn replay_legacy(model: &Model, cfg: &ReplayConfig) -> Result<ReplayReport, 
     if obs {
         xbar_obs::add("replay.events", arrivals + departures);
     }
-    Ok(finish(&engine, &batch_counts, arrivals, departures))
+    Ok(finish(
+        &engine,
+        &analytic,
+        &batch_counts,
+        arrivals,
+        departures,
+    ))
 }
 
 #[cfg(test)]

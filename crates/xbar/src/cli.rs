@@ -121,8 +121,8 @@ fn usage() -> String {
      admit replays synthetic BPP call events (or an 'a <class>'/'d <class>' \
      trace file) through the online admission engine; --cross-check asserts \
      the admitted fraction against the analytic acceptance (CS policy only); \
-     --reprice-batch re-derives the policy thresholds from the per-anchor \
-     cached sensitivity gradients every <n> events (admit and serve)\n\
+     --reprice-batch re-derives the policy thresholds from the sensitivity \
+     gradients the engine computed at start every <n> events (admit and serve)\n\
      serve runs the fault-tolerant multi-tenant admission daemon over \
      '<tenant> a|d <class> [@t]' lines with a WAL + snapshots under \
      --data-dir; exit 7 means tenant(s) ended quarantined\n\
@@ -279,12 +279,12 @@ pub struct Args {
     pub queue_cap: usize,
     /// Applied events between durable snapshots (for `serve`).
     pub snapshot_interval: u64,
-    /// Consecutive supervised failures before quarantine (for `serve`).
+    /// Consecutive rejected events before quarantine (for `serve`).
     pub max_failures: u32,
     /// Re-anchor latency budget in ms (for `serve`; absent = no deadline).
     pub reanchor_deadline_ms: Option<u64>,
     /// Events per online repricing batch (for `admit` and `serve`;
-    /// absent = thresholds refresh only at re-anchor).
+    /// absent = the thresholds resolved at start stand).
     pub reprice_batch: Option<u64>,
     /// WAL fsync cadence in records (for `serve`; 0 = on snapshot only).
     pub sync_every: u64,
@@ -1399,7 +1399,6 @@ pub fn run_serve(args: &Args) -> Result<(), CliError> {
         },
         queue_cap: args.queue_cap,
         kill_after: args.kill_after,
-        sleep_on_backoff: true,
         ..xbar_serve::DaemonConfig::default()
     };
     let (mut daemon, reports) =
@@ -1558,7 +1557,7 @@ fn emit_metrics(target: &str) -> Result<(), CliError> {
 pub fn run(argv: &[String]) -> Result<(), CliError> {
     let args = parse_args(argv).map_err(CliError::Usage)?;
     // 0 = auto (available_parallelism / XBAR_THREADS); the wavefront solver
-    // and solve_batch read this process-wide setting.
+    // and fleet solves read this process-wide setting.
     xbar_core::parallel::set_threads(args.threads);
     if args.metrics.is_some() {
         xbar_obs::set_global_enabled(true);

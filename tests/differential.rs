@@ -365,7 +365,7 @@ proptest! {
 
         // (b): the repriced thresholds equal a fresh full solve's.
         let fresh = sensitivity(&model, Algorithm::Alg1Ext).unwrap();
-        let want = policy.thresholds_from_sensitivity(r_count, &fresh).unwrap();
+        let want = policy.thresholds(r_count, Some(&fresh)).unwrap();
         prop_assert_eq!(repriced.thresholds(), &want[..]);
         prop_assert_eq!(plain.thresholds(), &want[..]);
 
@@ -385,7 +385,7 @@ proptest! {
             }
             if sign_safe {
                 let scaled_t = policy
-                    .thresholds_from_sensitivity(r_count, &scaled)
+                    .thresholds(r_count, Some(&scaled))
                     .unwrap();
                 prop_assert_eq!(&scaled_t[..], &want[..]);
             }

@@ -76,7 +76,7 @@ fn hotspot_csv_matches_golden() {
 }
 
 /// Admission-replay summary: the event stream is a fixed-seed jump chain
-/// and every anchor solve is deterministic, so the per-policy decision
+/// and every analytic solve is deterministic, so the per-policy decision
 /// split must be byte-identical run to run (and across `XBAR_THREADS`).
 #[test]
 fn replay_csv_matches_golden() {
