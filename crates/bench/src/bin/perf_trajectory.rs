@@ -32,7 +32,7 @@
 //! with earlier `BENCH_N.json` files, and the obs layer's disabled-mode
 //! cost is part of what they verify. A separate instrumented reference
 //! solve captures an [`xbar_obs`] snapshot into the report's `"obs"` key
-//! (escalation counters, sweep-mode splits, cache traffic).
+//! (escalation counters, lattice cells, cache traffic).
 //!
 //! Run from the repo root: `cargo run --release -p xbar-bench --bin
 //! perf_trajectory [-- <output-path>] [-- --fleet-only]`.
@@ -66,25 +66,25 @@ fn median_ns<F: FnMut()>(runs: usize, mut f: F) -> u64 {
     samples[samples.len() / 2]
 }
 
-fn time_backend(name: &str, n: u32, threads: usize, model: &Model, runs: usize) -> BenchRecord {
+fn time_backend(name: &str, n: u32, model: &Model, runs: usize) -> BenchRecord {
     let median = match name {
         "alg1-ext" => median_ns(runs, || {
-            std::hint::black_box(QLattice::<ExtFloat>::solve_with_threads(model, threads));
+            std::hint::black_box(QLattice::<ExtFloat>::solve(model));
         }),
         "alg1-scaled" => median_ns(runs, || {
-            std::hint::black_box(ScaledQLattice::solve_with_threads(model, threads));
+            std::hint::black_box(ScaledQLattice::solve(model));
         }),
         "alg1-f64" => median_ns(runs, || {
-            std::hint::black_box(QLattice::<f64>::solve_with_threads(model, threads));
+            std::hint::black_box(QLattice::<f64>::solve(model));
         }),
         other => unreachable!("unknown backend {other}"),
     };
-    println!("  {name:<12} N={n:<4} threads={threads:<2} median {median} ns");
+    println!("  {name:<12} N={n:<4} threads=1  median {median} ns");
     BenchRecord {
-        name: format!("{name}/solve/{n}/t{threads}"),
+        name: format!("{name}/solve/{n}/t1"),
         n,
         backend: name.to_string(),
-        threads,
+        threads: 1,
         median_ns: median,
     }
 }
@@ -165,8 +165,8 @@ fn time_sim_hot_loop(runs: usize) -> Vec<BenchRecord> {
 /// both ways: through the cached [`SweepSolver`] (one `O(N)`
 /// recombination) and as a fresh full solve of the edited model.
 /// `points_per_sec = 1e9 / median_ns`. The thread count is applied
-/// process-wide so the full solve's wavefront uses it; the recombination
-/// itself is serial either way.
+/// process-wide; both the recombination and the full solve are serial,
+/// so it only labels the record.
 fn time_sweep_points(n: u32, threads: usize, runs: usize) -> Vec<BenchRecord> {
     let model = fig2_sweep_model(n);
     parallel::set_threads(threads);
@@ -360,8 +360,10 @@ fn time_serve_ingest(tenants: usize, runs: usize) -> BenchRecord {
 
 /// Time batched fleet anchor solves (PR 7's headline number): `size`
 /// heterogeneous models solved through [`SolveCache::solve_fleet`], a
-/// fresh cache per run so every member is a real lattice solve rather
-/// than a memo hit. `anchor_solves_per_sec = 1e9 * size / median_ns`.
+/// fresh cache per run so every member is a real solve rather than a
+/// memo hit. `Auto` answers from the diagonal ray, so these records time
+/// ray solves (earlier `BENCH_N` files timed lattice solves).
+/// `anchor_solves_per_sec = 1e9 * size / median_ns`.
 fn time_fleet(size: usize, threads: usize, runs: usize) -> BenchRecord {
     let models: Vec<Model> = (0..size).map(fleet_member_model).collect();
     let n_max = models.iter().map(|m| m.dims().max_n()).max().unwrap_or(0);
@@ -471,13 +473,10 @@ fn main() {
             let model = table2_model(n);
             // Plain f64 underflows past N ~ 64; only time it in range.
             if n <= 64 {
-                records.push(time_backend("alg1-f64", n, 1, &model, runs));
+                records.push(time_backend("alg1-f64", n, &model, runs));
             }
             for backend in ["alg1-ext", "alg1-scaled"] {
-                records.push(time_backend(backend, n, 1, &model, runs));
-                if auto > 1 {
-                    records.push(time_backend(backend, n, auto, &model, runs));
-                }
+                records.push(time_backend(backend, n, &model, runs));
             }
         }
 

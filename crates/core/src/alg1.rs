@@ -15,22 +15,14 @@
 //!
 //! with `Q(0,0) = 1` and `Q ≡ 0` at any negative coordinate.
 //!
-//! # Wavefront parallelism
+//! The sweep runs row-major: every term on the right-hand side reads a
+//! cell with strictly smaller coordinate sum, which row-major order has
+//! already computed. It is single-threaded and uses safe slices only.
 //!
-//! Every term on the right-hand side reads a cell with strictly smaller
-//! coordinate sum: `Q(n1−1, n2)` and `Q(n1, n2−1)` sit on anti-diagonal
-//! `d − 1` and the `(n1−a_r, n2−a_r)` terms on `d − 2a_r`, where
-//! `d = n1 + n2`. Cells sharing an anti-diagonal are therefore mutually
-//! independent, so the recursion admits an exact *wavefront* schedule:
-//! sweep `d` from 0 to `N1 + N2`, computing each diagonal's cells in
-//! parallel. [`QLattice::solve`] (all backends) runs this schedule on the
-//! persistent worker pool ([`crate::parallel::run_scoped`]) with one
-//! barrier per diagonal; per-cell arithmetic is shared with the sequential
-//! path (one kernel), so the parallel result is **bit-for-bit identical**
-//! to the serial one. Short diagonals (below [`PAR_MIN_DIAG_LEN`]) are
-//! computed by a single worker, and automatic solves cap the thread count
-//! so each worker owns at least [`PAR_MIN_DIM`] cells of the longest
-//! diagonal — see [`crate::parallel`] for how the count is chosen.
+//! Since `solve(Auto)` answers from the diagonal ray ([`crate::sweep`]),
+//! this lattice runs only on an explicit `Alg1*` request: it is the
+//! paper's method, kept for figure reproduction and as the independent
+//! oracle the ray is tested against.
 //!
 //! # Numeric backends
 //!
@@ -40,8 +32,7 @@
 //! provided:
 //!
 //! * [`QLattice<f64>`] — plain doubles; fastest; valid while no cell
-//!   underflows. The solver's `Auto` mode uses it in the paper's
-//!   "Algorithm 1 for `N ≤ 32`" regime.
+//!   underflows (the paper's "Algorithm 1 for `N ≤ 32`" regime).
 //! * [`QLattice<ExtFloat>`] — extended-range floats; works at any size the
 //!   lattice fits in memory; the reference fast backend.
 //! * [`ScaledQLattice`] — the paper's §6 *dynamic scaling*, realised as a
@@ -57,33 +48,14 @@
 //!   "constant factor" §6 mentions. Ratios of `Q̂` cells recover ratios of
 //!   `Q` exactly, so the measures are unaffected, which is §6's point.
 
-use std::marker::PhantomData;
-use std::sync::Barrier;
-use std::time::Instant;
-
 use xbar_numeric::ExtFloat;
 
 use crate::model::{Dims, Model};
-use crate::parallel;
-
-/// Minimum cells of the longest anti-diagonal (`min(N1, N2) + 1` cells)
-/// each worker must own before the automatic thread-count resolution adds
-/// it to the wavefront: `auto threads = min(effective, width / 96)`.
-/// Below one quantum per extra worker the per-diagonal barrier costs more
-/// than the cells it buys (BENCH_6 measured 4 threads 1.7× slower than
-/// serial at `N = 128`). An explicit [`QLattice::solve_with_threads`]
-/// call bypasses this gate.
-pub const PAR_MIN_DIM: usize = 96;
-
-/// Anti-diagonals shorter than this are computed by one worker inside the
-/// parallel sweep (the triangular corners of the lattice), avoiding
-/// splitting a handful of cells across threads.
-pub const PAR_MIN_DIAG_LEN: usize = 16;
 
 /// Scalar arithmetic shared by the `Q`-recursion and the sweep solver's
 /// diagonal rays ([`crate::sweep`]): plain `f64` or extended-range
 /// [`ExtFloat`].
-pub trait QScalar: Copy + Send + Sync {
+pub trait QScalar: Copy {
     /// Additive identity.
     fn zero() -> Self;
     /// Multiplicative identity.
@@ -211,225 +183,64 @@ pub trait QRatio {
     fn q_ratio(&self, num: (i64, i64), den: (i64, i64)) -> f64;
 }
 
-// ---------------------------------------------------------------------------
-// Wavefront engine (shared by all three backends)
-// ---------------------------------------------------------------------------
-
-/// Raw shared view of one row-major lattice buffer, letting wavefront
-/// workers write disjoint cells of the current anti-diagonal while reading
-/// completed cells from earlier diagonals.
-///
-/// All access goes through raw pointers (no `&`/`&mut` aliasing to prove),
-/// so soundness rests entirely on the sweep discipline documented on
-/// [`CellKernel::cell`].
-struct Cells<'a, S> {
-    ptr: *mut S,
+/// One lattice being swept: row-major `(N1+1) × (N2+1)` `Q` cells and,
+/// back to back, one lane of as many `V` cells per bursty class.
+struct Sweep<S> {
     cols: usize,
-    _buffer: PhantomData<&'a mut [S]>,
+    cells: usize,
+    q: Vec<S>,
+    v: Vec<S>,
 }
 
-// Safety: the wavefront schedule guarantees data-race freedom (disjoint
-// writes within a diagonal, reads only of cells completed before the last
-// barrier), so sharing the view across worker threads is sound.
-unsafe impl<S: Send> Send for Cells<'_, S> {}
-unsafe impl<S: Send> Sync for Cells<'_, S> {}
-
-impl<'a, S: QScalar> Cells<'a, S> {
-    fn new(buffer: &'a mut [S], cols: usize) -> Self {
-        Cells {
-            ptr: buffer.as_mut_ptr(),
+impl<S: QScalar> Sweep<S> {
+    /// Seed `Q(0, 0) = 1`, call `cell` on every point of the `dims`
+    /// lattice in row-major order, and return the `Q` cells.
+    fn run(dims: Dims, lanes: usize, cell: impl Fn(&mut Self, i64, i64)) -> Vec<S> {
+        let cols = dims.n2 as usize + 1;
+        let cells = (dims.n1 as usize + 1) * cols;
+        let mut sweep = Sweep {
             cols,
-            _buffer: PhantomData,
+            cells,
+            q: vec![S::zero(); cells],
+            v: vec![S::zero(); cells * lanes],
+        };
+        sweep.q[0] = S::one();
+        xbar_obs::add("alg1.cells", cells as u64);
+        for i1 in 0..=dims.n1 as i64 {
+            for i2 in 0..=dims.n2 as i64 {
+                cell(&mut sweep, i1, i2);
+            }
         }
+        sweep.q
     }
 
-    /// Read `(i1, i2)`; zero outside the non-negative quadrant.
-    ///
-    /// # Safety
-    /// `(i1, i2)` must lie inside the allocated lattice whenever both are
-    /// non-negative, and the cell must not be concurrently written.
-    #[inline(always)]
-    unsafe fn get(&self, i1: i64, i2: i64) -> S {
-        if i1 < 0 || i2 < 0 {
-            S::zero()
-        } else {
-            *self.ptr.add(i1 as usize * self.cols + i2 as usize)
-        }
+    /// Flat index of `(i1, i2)` in one lattice, `None` outside the
+    /// non-negative quadrant.
+    fn index(&self, i1: i64, i2: i64) -> Option<usize> {
+        (i1 >= 0 && i2 >= 0).then(|| i1 as usize * self.cols + i2 as usize)
     }
 
-    /// Write `(i1, i2)`.
-    ///
-    /// # Safety
-    /// `(i1, i2)` must be in range and owned exclusively by the caller for
-    /// the duration of the current diagonal.
-    #[inline(always)]
-    unsafe fn set(&self, i1: i64, i2: i64, value: S) {
-        *self.ptr.add(i1 as usize * self.cols + i2 as usize) = value;
-    }
-}
-
-/// Raw shared view of the `V`-recursion storage: one flat buffer holding
-/// `lanes` row-major lattices back to back (lane `j` is bursty class
-/// `j`'s `V` lattice). The same wavefront discipline as [`Cells`] makes
-/// the raw pointer sharing sound.
-struct VCells<'a, S> {
-    ptr: *mut S,
-    cols: usize,
-    /// Cells per lane (`(N1+1)·(N2+1)`).
-    stride: usize,
-    _buffer: PhantomData<&'a mut [S]>,
-}
-
-// Safety: as for `Cells` — the wavefront schedule guarantees data-race
-// freedom across worker threads.
-unsafe impl<S: Send> Send for VCells<'_, S> {}
-unsafe impl<S: Send> Sync for VCells<'_, S> {}
-
-impl<'a, S: QScalar> VCells<'a, S> {
-    fn new(buffer: &'a mut [S], cols: usize, stride: usize) -> Self {
-        VCells {
-            ptr: buffer.as_mut_ptr(),
-            cols,
-            stride,
-            _buffer: PhantomData,
-        }
+    /// `Q(i1, i2)`; zero outside the non-negative quadrant.
+    fn q(&self, i1: i64, i2: i64) -> S {
+        self.index(i1, i2).map_or(S::zero(), |i| self.q[i])
     }
 
-    /// Read lane `lane` at `(i1, i2)`; zero outside the non-negative
+    /// `V` of lane `lane` at `(i1, i2)`; zero outside the non-negative
     /// quadrant.
-    ///
-    /// # Safety
-    /// As [`Cells::get`], and `lane` must be within the buffer's lanes.
-    #[inline(always)]
-    unsafe fn get(&self, lane: usize, i1: i64, i2: i64) -> S {
-        if i1 < 0 || i2 < 0 {
-            S::zero()
-        } else {
-            *self
-                .ptr
-                .add(lane * self.stride + i1 as usize * self.cols + i2 as usize)
-        }
+    fn v(&self, lane: usize, i1: i64, i2: i64) -> S {
+        self.index(i1, i2)
+            .map_or(S::zero(), |i| self.v[lane * self.cells + i])
     }
 
-    /// Write lane `lane` at `(i1, i2)`.
-    ///
-    /// # Safety
-    /// As [`Cells::set`], and `lane` must be within the buffer's lanes.
-    #[inline(always)]
-    unsafe fn set(&self, lane: usize, i1: i64, i2: i64, value: S) {
-        *self
-            .ptr
-            .add(lane * self.stride + i1 as usize * self.cols + i2 as usize) = value;
-    }
-}
-
-/// The per-cell recurrence of one backend: computes `V_r(i1, i2)` for every
-/// bursty class and `Q(i1, i2)`, and stores them. Exactly one invocation
-/// owns a cell, in both the serial and the parallel schedule, so serial and
-/// parallel lattices are bit-for-bit identical.
-trait CellKernel<S: QScalar>: Sync {
-    /// # Safety
-    /// The caller must guarantee exclusive access to cell `(i1, i2)` of `q`
-    /// and every `v` lane, and that every cell with smaller coordinate
-    /// sum `i1 + i2` is complete and no longer being written.
-    unsafe fn cell(&self, q: &Cells<'_, S>, v: &VCells<'_, S>, i1: i64, i2: i64);
-}
-
-/// Run a kernel over the whole lattice. `threads <= 1` sweeps row-major
-/// (cache-friendly; the dependency structure admits any order that computes
-/// smaller coordinate sums first, and row-major does). `threads > 1` runs
-/// the anti-diagonal wavefront with one barrier per diagonal.
-///
-/// `v` is the flat `V`-recursion storage: one lane of `(n1+1)·(n2+1)`
-/// cells per bursty class, back to back.
-fn sweep<S, K>(n1: usize, n2: usize, q: &mut [S], v: &mut [S], kernel: &K, threads: usize)
-where
-    S: QScalar,
-    K: CellKernel<S>,
-{
-    let cols = n2 + 1;
-    let q_cells = Cells::new(q, cols);
-    let v_cells = VCells::new(v, cols, (n1 + 1) * cols);
-
-    let threads = threads.max(1).min(n1.min(n2) + 1);
-    let cells = ((n1 + 1) * (n2 + 1)) as u64;
-    if threads <= 1 {
-        xbar_obs::inc("alg1.sweep.serial");
-        xbar_obs::add("alg1.cells", cells);
-        for i1 in 0..=n1 as i64 {
-            for i2 in 0..=n2 as i64 {
-                // Safety: single-threaded; cells with smaller coordinate
-                // sums precede (i1, i2) in row-major order.
-                unsafe { kernel.cell(&q_cells, &v_cells, i1, i2) };
-            }
-        }
-        return;
+    fn set_q(&mut self, i1: i64, i2: i64, value: S) {
+        let i = i1 as usize * self.cols + i2 as usize;
+        self.q[i] = value;
     }
 
-    xbar_obs::inc("alg1.sweep.parallel");
-    xbar_obs::add("alg1.cells", cells);
-    // Workers run on fresh threads, so the spawner's scoped registry (if
-    // any) must be re-installed by hand; the same flag gates the
-    // per-diagonal clock reads so a disabled run never touches Instant.
-    let obs_scope = xbar_obs::current_scope();
-    let record_diag = xbar_obs::enabled();
-    let barrier = Barrier::new(threads);
-    let last_diag = (n1 + n2) as i64;
-    parallel::run_scoped(threads, |w| {
-        let _obs = obs_scope.enter();
-        for d in 0..=last_diag {
-            // Worker 0 times each diagonal (the wavefront's unit of
-            // work); barrier-to-barrier, so it includes the
-            // stragglers this worker waited on.
-            let t0 = if record_diag && w == 0 {
-                Some(Instant::now())
-            } else {
-                None
-            };
-            // The diagonal's i1 range: i2 = d − i1 must fit [0, n2].
-            let lo = (d - n2 as i64).max(0);
-            let hi = (n1 as i64).min(d);
-            let len = (hi - lo + 1) as usize;
-            if len < PAR_MIN_DIAG_LEN {
-                if w == 0 {
-                    for i1 in lo..=hi {
-                        // Safety: worker 0 alone owns the whole
-                        // diagonal; earlier diagonals completed
-                        // before the previous barrier.
-                        unsafe { kernel.cell(&q_cells, &v_cells, i1, d - i1) };
-                    }
-                }
-            } else {
-                let chunk = len.div_ceil(threads) as i64;
-                let start = lo + w as i64 * chunk;
-                let end = (start + chunk - 1).min(hi);
-                for i1 in start..=end {
-                    // Safety: workers own disjoint i1 ranges of the
-                    // current diagonal; reads target older
-                    // diagonals, sequenced by the barrier below.
-                    unsafe { kernel.cell(&q_cells, &v_cells, i1, d - i1) };
-                }
-            }
-            barrier.wait();
-            if let Some(t0) = t0 {
-                xbar_obs::record_duration("alg1.diag_ns", t0.elapsed());
-            }
-        }
-    });
-}
-
-/// Resolve the thread count for an automatic (non-explicit) solve: the
-/// configured count, capped so every worker owns at least
-/// [`PAR_MIN_DIM`] cells of the longest anti-diagonal (`min(N1,N2)+1`
-/// cells). Below one full quantum the sweep stays serial — BENCH_6
-/// showed the barrier overhead costing 4 threads 1.7× *more* wall time
-/// than 1 thread at `N = 128`; per-worker diagonal width, not lattice
-/// size alone, is what must clear the barrier cost.
-fn auto_threads(dims: Dims) -> usize {
-    let width = dims.min_n() as usize + 1;
-    parallel::effective_threads()
-        .min(width / PAR_MIN_DIM)
-        .max(1)
+    fn set_v(&mut self, lane: usize, i1: i64, i2: i64, value: S) {
+        let i = lane * self.cells + i1 as usize * self.cols + i2 as usize;
+        self.v[i] = value;
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -472,21 +283,21 @@ impl PlainCoeffs {
     }
 }
 
-struct PlainKernel<'c> {
-    co: &'c PlainCoeffs,
-}
-
-impl<S: QScalar> CellKernel<S> for PlainKernel<'_> {
-    #[inline(always)]
-    unsafe fn cell(&self, q: &Cells<'_, S>, v: &VCells<'_, S>, i1: i64, i2: i64) {
-        let co = self.co;
+impl PlainCoeffs {
+    /// The per-cell recurrence: `V_r(i1, i2)` for every bursty class, then
+    /// `Q(i1, i2)`.
+    fn cell<S: QScalar>(&self, s: &mut Sweep<S>, i1: i64, i2: i64) {
         // V_r(i1, i2) first — it only reads strictly smaller points.
-        for (j, (&a, &beta_over_mu)) in co.bursty_a.iter().zip(&co.bursty_beta_over_mu).enumerate()
+        for (j, (&a, &beta_over_mu)) in self
+            .bursty_a
+            .iter()
+            .zip(&self.bursty_beta_over_mu)
+            .enumerate()
         {
-            let val = q
-                .get(i1 - a, i2 - a)
-                .add(v.get(j, i1 - a, i2 - a).scale(beta_over_mu));
-            v.set(j, i1, i2, val);
+            let val = s
+                .q(i1 - a, i2 - a)
+                .add(s.v(j, i1 - a, i2 - a).scale(beta_over_mu));
+            s.set_v(j, i1, i2, val);
         }
         if i1 == 0 && i2 == 0 {
             return; // Q(0,0) = 1 is seeded before the sweep.
@@ -495,18 +306,18 @@ impl<S: QScalar> CellKernel<S> for PlainKernel<'_> {
         // (both derive from paper eq. 8; a consistency test below checks
         // they agree).
         let (prev, divisor) = if i1 >= 1 {
-            (q.get(i1 - 1, i2), i1 as f64)
+            (s.q(i1 - 1, i2), i1 as f64)
         } else {
-            (q.get(i1, i2 - 1), i2 as f64)
+            (s.q(i1, i2 - 1), i2 as f64)
         };
         let mut acc = prev;
-        for (&a, &a_rho) in co.poisson_a.iter().zip(&co.poisson_a_rho) {
-            acc = acc.add(q.get(i1 - a, i2 - a).scale(a_rho));
+        for (&a, &a_rho) in self.poisson_a.iter().zip(&self.poisson_a_rho) {
+            acc = acc.add(s.q(i1 - a, i2 - a).scale(a_rho));
         }
-        for (j, &a_rho) in co.bursty_a_rho.iter().enumerate() {
-            acc = acc.add(v.get(j, i1, i2).scale(a_rho));
+        for (j, &a_rho) in self.bursty_a_rho.iter().enumerate() {
+            acc = acc.add(s.v(j, i1, i2).scale(a_rho));
         }
-        q.set(i1, i2, acc.scale(1.0 / divisor));
+        s.set_q(i1, i2, acc.scale(1.0 / divisor));
     }
 }
 
@@ -519,26 +330,16 @@ pub struct QLattice<S> {
 }
 
 impl<S: QScalar> QLattice<S> {
-    /// Run Algorithm 1 for `model`, choosing the thread count
-    /// automatically (see [`crate::parallel`]; small lattices stay serial).
+    /// Run Algorithm 1 for `model`.
     pub fn solve(model: &Model) -> Self {
-        Self::solve_with_threads(model, auto_threads(model.dims()))
-    }
-
-    /// Run Algorithm 1 with an explicit thread count (`<= 1` forces the
-    /// sequential sweep; `> 1` forces the wavefront even below the
-    /// automatic size gate — the result is bit-for-bit identical).
-    pub fn solve_with_threads(model: &Model, threads: usize) -> Self {
-        let dims = model.dims();
-        let (n1, n2) = (dims.n1 as usize, dims.n2 as usize);
         let co = PlainCoeffs::of(model);
-        let cells = (n1 + 1) * (n2 + 1);
-        let mut q = vec![S::zero(); cells];
-        // One V lane per bursty class, in one flat buffer.
-        let mut v = vec![S::zero(); cells * co.bursty_a.len()];
-        q[0] = S::one();
-        sweep(n1, n2, &mut q, &mut v, &PlainKernel { co: &co }, threads);
-        QLattice { dims, q }
+        let q = Sweep::run(model.dims(), co.bursty_a.len(), |s, i1, i2| {
+            co.cell(s, i1, i2)
+        });
+        QLattice {
+            dims: model.dims(),
+            q,
+        }
     }
 }
 
@@ -625,45 +426,45 @@ impl ScaledCoeffs {
     }
 }
 
-struct ScaledKernel<'c> {
-    co: &'c ScaledCoeffs,
-}
-
-impl CellKernel<f64> for ScaledKernel<'_> {
-    #[inline(always)]
-    unsafe fn cell(&self, q: &Cells<'_, f64>, v: &VCells<'_, f64>, i1: i64, i2: i64) {
-        let co = self.co;
-        for (((&slot, &a), &c2a), &beta_over_mu) in co
+impl ScaledCoeffs {
+    /// The scaled per-cell recurrence (see [`ScaledQLattice`]).
+    fn cell(&self, s: &mut Sweep<f64>, i1: i64, i2: i64) {
+        for (((&slot, &a), &c2a), &beta_over_mu) in self
             .v_slot
             .iter()
-            .zip(&co.a)
-            .zip(&co.c2a)
-            .zip(&co.beta_over_mu)
+            .zip(&self.a)
+            .zip(&self.c2a)
+            .zip(&self.beta_over_mu)
         {
             if slot == usize::MAX {
                 continue;
             }
-            let val = c2a * (q.get(i1 - a, i2 - a) + beta_over_mu * v.get(slot, i1 - a, i2 - a));
-            v.set(slot, i1, i2, val);
+            let val = c2a * (s.q(i1 - a, i2 - a) + beta_over_mu * s.v(slot, i1 - a, i2 - a));
+            s.set_v(slot, i1, i2, val);
         }
         if i1 == 0 && i2 == 0 {
             return;
         }
         let (prev, divisor) = if i1 >= 1 {
-            (q.get(i1 - 1, i2) * co.c, i1 as f64)
+            (s.q(i1 - 1, i2) * self.c, i1 as f64)
         } else {
-            (q.get(i1, i2 - 1) * co.c, i2 as f64)
+            (s.q(i1, i2 - 1) * self.c, i2 as f64)
         };
         let mut acc = prev;
-        for (((&slot, &a), &c2a), &a_rho) in co.v_slot.iter().zip(&co.a).zip(&co.c2a).zip(&co.a_rho)
+        for (((&slot, &a), &c2a), &a_rho) in self
+            .v_slot
+            .iter()
+            .zip(&self.a)
+            .zip(&self.c2a)
+            .zip(&self.a_rho)
         {
             if slot == usize::MAX {
-                acc += a_rho * c2a * q.get(i1 - a, i2 - a);
+                acc += a_rho * c2a * s.q(i1 - a, i2 - a);
             } else {
-                acc += a_rho * v.get(slot, i1, i2);
+                acc += a_rho * s.v(slot, i1, i2);
             }
         }
-        q.set(i1, i2, acc / divisor);
+        s.set_q(i1, i2, acc / divisor);
     }
 }
 
@@ -687,30 +488,12 @@ pub struct ScaledQLattice {
 }
 
 impl ScaledQLattice {
-    /// Run Algorithm 1 with scaling for `model` (automatic thread count,
-    /// as [`QLattice::solve`]).
+    /// Run Algorithm 1 with scaling for `model`.
     pub fn solve(model: &Model) -> Self {
-        Self::solve_with_threads(model, auto_threads(model.dims()))
-    }
-
-    /// Run Algorithm 1 with scaling and an explicit thread count.
-    pub fn solve_with_threads(model: &Model, threads: usize) -> Self {
         let dims = model.dims();
-        let (n1, n2) = (dims.n1 as usize, dims.n2 as usize);
         let ln_c = scale_ln_c(dims);
         let co = ScaledCoeffs::of(model, ln_c);
-        let cells = (n1 + 1) * (n2 + 1);
-        let mut qhat = vec![0.0f64; cells];
-        let mut v = vec![0.0f64; cells * co.n_bursty];
-        qhat[0] = 1.0;
-        sweep(
-            n1,
-            n2,
-            &mut qhat,
-            &mut v,
-            &ScaledKernel { co: &co },
-            threads,
-        );
+        let qhat = Sweep::run(dims, co.n_bursty, |s, i1, i2| co.cell(s, i1, i2));
         ScaledQLattice { dims, ln_c, qhat }
     }
 
@@ -881,55 +664,6 @@ mod tests {
         for i1 in 0..=6i64 {
             for i2 in 0..=4i64 {
                 close(a.q(i1, i2), b.q(i2, i1), 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_wavefront_is_bit_identical_to_serial() {
-        // The tentpole invariant: forcing the wavefront (any thread count)
-        // must reproduce the sequential lattice exactly, including on
-        // rectangular switches and below the automatic size gate.
-        for (n1, n2) in [(9u32, 6u32), (6, 9), (17, 17)] {
-            let m = mixed_model(n1, n2);
-            let serial: QLattice<f64> = QLattice::solve_with_threads(&m, 1);
-            let ext_serial: QLattice<ExtFloat> = QLattice::solve_with_threads(&m, 1);
-            let scaled_serial = ScaledQLattice::solve_with_threads(&m, 1);
-            for threads in [2usize, 3, 5] {
-                let par: QLattice<f64> = QLattice::solve_with_threads(&m, threads);
-                let ext_par: QLattice<ExtFloat> = QLattice::solve_with_threads(&m, threads);
-                let scaled_par = ScaledQLattice::solve_with_threads(&m, threads);
-                for i1 in 0..=n1 as i64 {
-                    for i2 in 0..=n2 as i64 {
-                        assert_eq!(
-                            serial.q(i1, i2).to_bits(),
-                            par.q(i1, i2).to_bits(),
-                            "f64 cell ({i1},{i2}) differs at {threads} threads"
-                        );
-                        assert_eq!(
-                            ext_serial.q(i1, i2),
-                            ext_par.q(i1, i2),
-                            "ExtFloat cell ({i1},{i2}) differs at {threads} threads"
-                        );
-                        assert_eq!(
-                            scaled_serial.qhat(i1, i2).to_bits(),
-                            scaled_par.qhat(i1, i2).to_bits(),
-                            "scaled cell ({i1},{i2}) differs at {threads} threads"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn thread_count_larger_than_diagonal_is_clamped() {
-        let m = mixed_model(3, 3);
-        let a: QLattice<f64> = QLattice::solve_with_threads(&m, 64);
-        let b: QLattice<f64> = QLattice::solve_with_threads(&m, 1);
-        for i1 in 0..=3i64 {
-            for i2 in 0..=3i64 {
-                assert_eq!(a.q(i1, i2).to_bits(), b.q(i1, i2).to_bits());
             }
         }
     }

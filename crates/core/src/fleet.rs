@@ -16,11 +16,12 @@
 //!   figure drivers, per-anchor repricing solvers and
 //!   [`crate::SweepGrid`] batch builds all warm through it.
 //!
-//! Sharding pins each member's inner solve to one thread
-//! ([`crate::parallel::with_threads`]): with whole models to hand out,
-//! across-model parallelism strictly dominates nested wavefront
-//! parallelism. A fleet of one skips the pool (and the pinning)
-//! entirely, so single-model latency is unchanged.
+//! Every solve and sweep build is single-threaded, so the pool's width
+//! goes to whole models: sharding pins each member to one thread
+//! ([`crate::parallel::with_threads`]), and a fleet batch nested inside
+//! a member runs inline instead of fanning out again. A fleet of one
+//! skips the pool (and the pinning) entirely, so single-model latency is
+//! unchanged.
 
 use std::sync::{Arc, Mutex};
 
@@ -35,9 +36,9 @@ use crate::sweep::SweepSolver;
 /// Run `f(i)` for every `i in 0..n` across the persistent pool with
 /// work stealing and return the results in index order.
 ///
-/// With more than one effective worker, each item's inner solve is
-/// pinned to one thread; with one worker the items run inline *without*
-/// pinning, so a single large item keeps its own wavefront parallelism.
+/// With more than one effective worker, each item runs pinned to one
+/// thread, so a nested pool call inside it runs inline; with one worker
+/// the items run inline on the caller.
 pub(crate) fn shard_map<T: Send>(n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
     let threads = parallel::effective_threads().min(n);
     if threads <= 1 {

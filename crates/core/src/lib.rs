@@ -40,9 +40,10 @@
 //!   concurrency, call-level acceptance, revenue `W` and its gradients
 //!   (closed form where the paper has one, forward differences where it
 //!   doesn't — §4).
-//! * [`solver`] — a front-end that picks the right algorithm/backend for
-//!   the requested size, following the paper's own guidance (Algorithm 1
-//!   for `N ≤ 32`, Algorithm 2 / extended-range beyond); its
+//! * [`solver`] — a front-end whose `Auto` answers from the diagonal ray
+//!   of [`sweep`] (the classes installed once along `(N1 − d, N2 − d)`,
+//!   all the measures read) and whose explicit requests run one backend
+//!   (Algorithm 1 in any of its three, Algorithm 2 or 3); its
 //!   [`solver::resilient`] submodule adds a fault-tolerant pipeline that
 //!   escalates through backends on failure and cross-checks the winner
 //!   against an independent algorithm.
@@ -111,4 +112,4 @@ pub use sensitivity::{sensitivity, sensitivity_from, Sensitivity};
 pub use solver::resilient::{solve_resilient, ResilientConfig, ResilientSolution, SolveReport};
 pub use solver::{solve, solve_cached, Algorithm, Solution, SolveCache, SolveError};
 pub use state::StateIter;
-pub use sweep::{SweepGradients, SweepGrid, SweepSolution, SweepSolver};
+pub use sweep::{SweepGradients, SweepGrid, SweepSolver};

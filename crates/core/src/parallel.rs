@@ -1,22 +1,22 @@
-//! Thread-count plumbing and the persistent worker pool for the parallel
-//! solve paths (the wavefront lattice sweep in [`crate::alg1`] and the
-//! fleet sharding in [`crate::fleet`]).
+//! Thread-count plumbing and the persistent worker pool behind the
+//! fleet sharding in [`crate::fleet`] and the simulator's replication
+//! harness. Every single solve is serial; the pool spreads whole models
+//! or replications over workers.
 //!
 //! Resolution order for the effective thread count:
 //!
 //! 1. a thread-local override installed by [`with_threads`] (used by the
-//!    batch work pool to keep its per-model solves single-threaded, and by
-//!    tests to force the parallel path on small lattices);
+//!    batch work pools to keep nested batches inline on their worker, and
+//!    by tests to pin a pool width);
 //! 2. the process-wide setting from [`set_threads`] (the CLI's
 //!    `--threads N` lands here; `0` means "auto");
 //! 3. the `XBAR_THREADS` environment variable (how CI exercises both code
 //!    paths without touching flags);
 //! 4. `std::thread::available_parallelism()`.
 //!
-//! [`run_scoped`] replaces the per-solve `crossbeam::thread::scope` spawn
-//! the wavefront sweep used through PR 6: workers are spawned once, parked
-//! on channels, and reused across solves, so a fleet of thousands of
-//! anchor solves pays thread start-up once instead of per call.
+//! [`run_scoped`] spawns workers once, parks them on channels, and reuses
+//! them across calls, so a fleet of thousands of solves pays thread
+//! start-up once instead of per call.
 
 use std::cell::Cell;
 use std::panic::AssertUnwindSafe;
@@ -32,7 +32,7 @@ thread_local! {
     static OVERRIDE: Cell<usize> = const { Cell::new(0) };
 }
 
-/// Set the process-wide solver thread count. `0` restores auto detection
+/// Set the process-wide pool thread count. `0` restores auto detection
 /// (`available_parallelism`, or `XBAR_THREADS` when set).
 pub fn set_threads(n: usize) {
     CONFIGURED.store(n, Ordering::Relaxed);
@@ -182,8 +182,8 @@ fn spawn_worker() -> Sender<Job> {
 /// invocation panicked.
 ///
 /// The pool spawns lazily and reuses parked workers across calls, so
-/// repeated solves — a figure grid, a fleet batch, a re-anchor storm —
-/// pay thread start-up once per process, not once per solve. Nested
+/// repeated batches — a figure grid, a fleet batch, a replication round —
+/// pay thread start-up once per process, not once per call. Nested
 /// calls are fine: a worker that itself calls `run_scoped` checks out
 /// (or spawns) further workers rather than waiting on itself.
 pub fn run_scoped(threads: usize, f: impl Fn(usize) + Sync) {
@@ -245,7 +245,7 @@ pub fn run_scoped(threads: usize, f: impl Fn(usize) + Sync) {
     f(0);
     drop(guard);
     if latch.panicked.load(Ordering::Acquire) {
-        panic!("wavefront worker panicked");
+        panic!("pool worker panicked");
     }
 }
 

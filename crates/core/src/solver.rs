@@ -1,6 +1,7 @@
 //! Front-end solver: pick an algorithm/backend, run it, and expose every
 //! performance measure (including the §4 revenue gradients) behind one
-//! [`Solution`] type.
+//! [`Solution`] type — for a full solve and for a
+//! [`SweepSolver`](crate::SweepSolver) point alike.
 //!
 //! For fault tolerance across backends — automatic escalation when a
 //! fixed-precision backend fails, plus cross-algorithm self-verification —
@@ -24,14 +25,16 @@ use crate::measures::{
     measures, measures_at, revenue_gradient_rho_closed, shadow_cost, SwitchMeasures,
 };
 use crate::model::{Dims, Model, ModelError};
+use crate::sweep::Ray;
 
 /// Which algorithm/backend to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum Algorithm {
-    /// Follow the paper's §5.1 guidance, upgraded for our backends:
-    /// Algorithm 1 in plain `f64` for small switches (the paper's
-    /// "`N ≤ 32`" regime — actually used up to 64 here, where it is still
-    /// comfortably in range), extended-range Algorithm 1 beyond.
+    /// The diagonal ray ([`crate::sweep`]): every measure reads `Q` only
+    /// on `(N1 − d, N2 − d)`, so the classes are installed once on the
+    /// empty ray in `O(R·C²/a)` instead of sweeping the `O(N1·N2·R)`
+    /// lattice. Scaled `f64` at every `N`, extended range where the
+    /// scaled ray is unhealthy.
     #[default]
     Auto,
     /// Algorithm 1, plain `f64` — fails with [`SolveError::Underflow`] if
@@ -118,12 +121,29 @@ impl From<ModelError> for SolveError {
     }
 }
 
-enum Backend {
+/// What a [`Solution`] reads its measures from: a whole lattice (or
+/// Algorithm 2/3's equivalent), or a diagonal ray.
+pub(crate) enum Backend {
     F64(QLattice<f64>),
     Scaled(ScaledQLattice),
     Ext(QLattice<ExtFloat>),
     Mva(Mva),
     Conv(Convolution),
+    RayScaled(Ray<f64>),
+    RayExt(Ray<ExtFloat>),
+}
+
+impl Backend {
+    /// The algorithm that actually ran (what a guard failure names).
+    fn algorithm(&self) -> Algorithm {
+        match self {
+            Backend::F64(_) => Algorithm::Alg1F64,
+            Backend::Scaled(_) | Backend::RayScaled(_) => Algorithm::Alg1Scaled,
+            Backend::Ext(_) | Backend::RayExt(_) => Algorithm::Alg1Ext,
+            Backend::Mva(_) => Algorithm::Mva,
+            Backend::Conv(_) => Algorithm::Convolution,
+        }
+    }
 }
 
 impl QRatio for Backend {
@@ -134,6 +154,8 @@ impl QRatio for Backend {
             Backend::Ext(l) => l.dims(),
             Backend::Mva(l) => l.dims(),
             Backend::Conv(l) => l.dims(),
+            Backend::RayScaled(l) => l.dims(),
+            Backend::RayExt(l) => l.dims(),
         }
     }
 
@@ -144,11 +166,13 @@ impl QRatio for Backend {
             Backend::Ext(l) => l.q_ratio(num, den),
             Backend::Mva(l) => l.q_ratio(num, den),
             Backend::Conv(l) => l.q_ratio(num, den),
+            Backend::RayScaled(l) => l.q_ratio(num, den),
+            Backend::RayExt(l) => l.q_ratio(num, den),
         }
     }
 }
 
-/// A solved model: the lattice plus the evaluated measures.
+/// A solved model: the lattice or ray plus the evaluated measures.
 pub struct Solution {
     model: Model,
     algorithm: Algorithm,
@@ -156,34 +180,19 @@ pub struct Solution {
     measures: SwitchMeasures,
 }
 
-/// `Auto`'s plain-`f64` ceiling for a full solve: the largest `max N` the
-/// paper's "small switch" regime covers before `Auto` moves to extended
-/// range. [`crate::sweep::SweepSolver`] does not use it: its `Auto`
-/// tries scaled rays at every `N`.
-const AUTO_F64_MAX_N: u32 = 64;
-
 /// Solve `model` with the requested algorithm.
 pub fn solve(model: &Model, algorithm: Algorithm) -> Result<Solution, SolveError> {
-    let effective = match algorithm {
-        Algorithm::Auto => {
-            if model.dims().max_n() <= AUTO_F64_MAX_N {
-                Algorithm::Alg1F64
-            } else {
-                Algorithm::Alg1Ext
-            }
-        }
-        a => a,
-    };
     xbar_obs::inc("solver.solve");
     if xbar_obs::enabled() {
-        xbar_obs::inc(&format!("solver.solve.{effective}"));
+        xbar_obs::inc(&format!("solver.solve.{algorithm}"));
     }
-    let backend = match effective {
+    let backend = match algorithm {
+        Algorithm::Auto => crate::sweep::full_ray(model),
         Algorithm::Alg1F64 => {
             let lat: QLattice<f64> = QLattice::solve(model);
             if !lat.is_healthy() {
                 xbar_obs::inc("solver.reject.underflow");
-                return Err(SolveError::Underflow(effective));
+                return Err(SolveError::Underflow(algorithm));
             }
             Backend::F64(lat)
         }
@@ -191,39 +200,49 @@ pub fn solve(model: &Model, algorithm: Algorithm) -> Result<Solution, SolveError
             let lat = ScaledQLattice::solve(model);
             if !lat.is_healthy() {
                 xbar_obs::inc("solver.reject.underflow");
-                return Err(SolveError::Underflow(effective));
+                return Err(SolveError::Underflow(algorithm));
             }
             Backend::Scaled(lat)
         }
         Algorithm::Alg1Ext => Backend::Ext(QLattice::solve(model)),
         Algorithm::Mva => Backend::Mva(Mva::solve(model)),
         Algorithm::Convolution => Backend::Conv(Convolution::solve(model)),
-        Algorithm::Auto => unreachable!(),
     };
-    let m = measures(model, &backend);
-    m.validate().map_err(|source| {
-        xbar_obs::inc("solver.reject.guard");
-        SolveError::Guard {
-            algorithm: effective,
-            source,
-        }
-    })?;
-    Ok(Solution {
-        model: model.clone(),
-        algorithm,
-        backend,
-        measures: m,
-    })
+    Solution::new(model.clone(), algorithm, backend)
 }
 
 impl Solution {
+    /// Evaluate and guard the measures of `model` read from `backend`;
+    /// `algorithm` is the one requested.
+    pub(crate) fn new(
+        model: Model,
+        algorithm: Algorithm,
+        backend: Backend,
+    ) -> Result<Self, SolveError> {
+        let m = measures(&model, &backend);
+        m.validate().map_err(|source| {
+            xbar_obs::inc("solver.reject.guard");
+            SolveError::Guard {
+                algorithm: backend.algorithm(),
+                source,
+            }
+        })?;
+        Ok(Solution {
+            model,
+            algorithm,
+            backend,
+            measures: m,
+        })
+    }
+
     /// The solved model.
     pub fn model(&self) -> &Model {
         &self.model
     }
 
     /// The algorithm this solution was requested with (as passed to
-    /// [`solve`], so [`Algorithm::Auto`] stays `Auto`).
+    /// [`solve`] or [`SweepSolver::new`](crate::SweepSolver::new), so
+    /// [`Algorithm::Auto`] stays `Auto`).
     pub fn algorithm(&self) -> Algorithm {
         self.algorithm
     }
@@ -271,7 +290,9 @@ impl Solution {
     }
 
     /// Measures at a sub-switch (same per-set rates), read from the same
-    /// solved lattice.
+    /// solved lattice. A ray-backed solution ([`Algorithm::Auto`], or any
+    /// [`SweepSolver`](crate::SweepSolver) point) answers only on its ray
+    /// `(N1 − d, N2 − d)` and panics elsewhere.
     pub fn measures_at(&self, dims: Dims) -> SwitchMeasures {
         measures_at(&self.model, &self.backend, dims)
     }
@@ -398,10 +419,10 @@ mod tests {
 
     #[test]
     fn auto_switches_backend_with_size() {
-        // Small: plain f64 must succeed (Auto = Alg1F64).
+        // Small: the scaled ray.
         let m = mixed_model(8);
         assert!(solve(&m, Algorithm::Auto).is_ok());
-        // Large: plain f64 underflows, Auto must still succeed (ExtFloat).
+        // Large: the plain f64 lattice underflows, Auto must still succeed.
         let w = Workload::new().with(TrafficClass::poisson(1e-5));
         let big = Model::new(Dims::square(200), w).unwrap();
         assert!(matches!(
@@ -410,6 +431,80 @@ mod tests {
         ));
         let sol = solve(&big, Algorithm::Auto).unwrap();
         assert!(sol.blocking(0).is_finite());
+    }
+
+    /// The ray-vs-lattice probe model: a Poisson class, a peaky BPP class
+    /// and an `a = 2` Poisson class, each offering a third of `load`
+    /// Erlang per port of an `n × n` switch.
+    fn probe_model(n: u32, load: f64) -> Model {
+        let rho = |a: u32| {
+            let pp = xbar_numeric::permutation(n as u64, a as u64);
+            load / 3.0 / (pp * pp * a as f64 / n as f64)
+        };
+        let w = Workload::new()
+            .with(TrafficClass::poisson(rho(1)).with_weight(1.0))
+            .with(TrafficClass::bpp(rho(1), 0.5 * rho(1), 1.0).with_weight(0.5))
+            .with(
+                TrafficClass::poisson(rho(2))
+                    .with_bandwidth(2)
+                    .with_weight(0.25),
+            );
+        Model::new(Dims::square(n), w).unwrap()
+    }
+
+    /// Every measure of `got` within `tol` of `want`, relative to `scale`
+    /// (by default the larger magnitude of the two).
+    fn assert_same_measures(got: &Solution, want: &Solution, tol: f64) {
+        let model = got.model();
+        let check = |what: &str, a: f64, b: f64, scale: f64| {
+            let gap = (a - b).abs() / scale.max(f64::MIN_POSITIVE);
+            assert!(gap <= tol, "{what}: {a} vs {b} ({})", model.dims());
+        };
+        let rel = |what: &str, a: f64, b: f64| check(what, a, b, a.abs().max(b.abs()));
+        for (r, class) in model.workload().classes().iter().enumerate() {
+            rel("B_r", got.nonblocking(r), want.nonblocking(r));
+            rel("E_r", got.concurrency(r), want.concurrency(r));
+            rel("throughput", got.throughput(r), want.throughput(r));
+            rel(
+                "acceptance",
+                got.call_acceptance(r),
+                want.call_acceptance(r),
+            );
+            rel("shadow cost", got.shadow_cost(r), want.shadow_cost(r));
+            // ∂W/∂ρ_r = P·B_r·(w_r − ΔW) cancels where ΔW ≈ w_r, so its
+            // gap is measured against the terms it subtracts.
+            let pp = xbar_numeric::permutation(model.dims().n1 as u64, class.bandwidth as u64)
+                * xbar_numeric::permutation(model.dims().n2 as u64, class.bandwidth as u64);
+            let terms = class.weight.abs().max(want.shadow_cost(r).abs());
+            check(
+                "dW/drho",
+                got.revenue_gradient_rho(r),
+                want.revenue_gradient_rho(r),
+                pp * want.nonblocking(r) * terms,
+            );
+        }
+        rel("revenue", got.revenue(), want.revenue());
+    }
+
+    #[test]
+    fn auto_answers_from_the_ray_and_matches_the_lattice() {
+        for n in [16u32, 64, 128, 256, 512] {
+            for load in [0.1, 0.6, 4.0] {
+                let m = probe_model(n, load);
+                let reg = std::sync::Arc::new(xbar_obs::Registry::new());
+                let _g = xbar_obs::scope(&reg);
+                let auto = solve(&m, Algorithm::Auto).unwrap();
+                assert_eq!(reg.snapshot().counter("alg1.cells"), None, "N={n}");
+                let ext = solve(&m, Algorithm::Alg1Ext).unwrap();
+                let cells = ((n + 1) * (n + 1)) as u64;
+                assert_eq!(reg.snapshot().counter("alg1.cells"), Some(cells));
+                assert_same_measures(&auto, &ext, 1e-12);
+                if n <= 64 {
+                    let f64_ = solve(&m, Algorithm::Alg1F64).unwrap();
+                    assert_same_measures(&auto, &f64_, 1e-12);
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! Memoizing solve engine: a keyed LRU of finished [`Solution`]s plus a
 //! work-stealing batch front-end.
 //!
-//! Algorithm 1 is the hot path behind every figure, sweep, and resilient
-//! escalation, and many callers re-solve the *same* model: forward-difference
+//! A full solve sits behind every figure anchor, replay cross-check and
+//! resilient escalation, and many callers re-solve the *same* model: forward-difference
 //! gradients solve the base point twice, `solve_resilient` cross-checks
 //! re-enter `solve`, and experiment drivers anchor several series on one
 //! shared configuration. [`SolveCache`] memoizes by a canonicalised model
-//! fingerprint so those repeats cost a hash lookup instead of an
-//! `O(N1·N2·R)` sweep; [`SolveCache::solve_fleet`] fans a slice of models
+//! fingerprint so those repeats cost a hash lookup instead of a ray
+//! build or a lattice sweep; [`SolveCache::solve_fleet`] fans a slice of models
 //! out over a [`crossbeam::queue::SegQueue`] work pool (work-stealing, so
 //! unbalanced sweeps with large-`N` tails no longer serialise on the
 //! slowest chunk).
@@ -17,8 +17,8 @@
 //! Two models must share a cache entry iff a solve cannot tell them apart.
 //! The fingerprint therefore covers the *requested* algorithm (so an
 //! [`Algorithm::Auto`] solution, whose [`Solution::algorithm`] reports
-//! `Auto`, is never returned for an explicit `Alg1F64` request even when
-//! auto would resolve to the same backend), the dims, and every class's
+//! `Auto`, is never returned for an explicit `Alg1F64` request), the
+//! dims, and every class's
 //! `(α, β, μ, a, w)` tuple in workload order. Floats are compared by bit
 //! pattern with `-0.0` normalised to `+0.0` — the one bit-level distinction
 //! IEEE arithmetic cannot observe here — so no tolerance is involved:
@@ -190,8 +190,7 @@ impl SolveCache {
     /// [`SolveError`] is `Clone`). The unique models are sharded across
     /// the persistent worker pool with work stealing, each inner solve
     /// pinned to one thread; a fleet of one (or a one-thread
-    /// configuration) runs inline with the single model keeping its own
-    /// wavefront parallelism, so batching adds no overhead to the
+    /// configuration) runs inline, so batching adds no overhead to the
     /// single-model path.
     pub fn solve_fleet(
         &self,
@@ -256,6 +255,7 @@ pub fn solve_cached(model: &Model, algorithm: Algorithm) -> Result<Arc<Solution>
 mod tests {
     use super::*;
     use crate::model::Dims;
+    use proptest::prelude::*;
     use xbar_traffic::{TrafficClass, Workload};
 
     fn mixed_model(n1: u32, n2: u32) -> Model {
@@ -284,8 +284,9 @@ mod tests {
     fn requested_algorithm_is_part_of_the_key() {
         let cache = SolveCache::new(8);
         let m = mixed_model(6, 6);
-        // Auto resolves to Alg1F64 at this size, but the two requests must
-        // stay distinct entries so Solution::algorithm() is preserved.
+        // Auto answers from the ray and Alg1F64 from the lattice; the two
+        // requests stay distinct entries so Solution::algorithm() is
+        // preserved.
         let auto = cache.get_or_solve(&m, Algorithm::Auto).unwrap();
         let f64_ = cache.get_or_solve(&m, Algorithm::Alg1F64).unwrap();
         assert!(!Arc::ptr_eq(&auto, &f64_));
@@ -346,5 +347,79 @@ mod tests {
         // β = -0.0 and β = 0.0 describe the same (Poisson) class.
         assert_eq!(canon_bits(-0.0), canon_bits(0.0));
         assert_ne!(canon_bits(1.0), canon_bits(-1.0));
+    }
+
+    /// A random valid traffic class (Poisson / Pascal / Bernoulli) for a
+    /// switch with `max_n` ports, with bandwidths up to 3.
+    fn arb_class(max_n: u32) -> impl Strategy<Value = TrafficClass> {
+        let poisson =
+            (0.001f64..2.0, 0.2f64..3.0, 1u32..4, 0.01f64..2.0).prop_map(|(rho, mu, a, w)| {
+                TrafficClass::bpp(rho * mu, 0.0, mu)
+                    .with_bandwidth(a)
+                    .with_weight(w)
+            });
+        let pascal = (
+            0.001f64..1.5,
+            0.05f64..0.9,
+            0.5f64..2.0,
+            1u32..4,
+            0.01f64..2.0,
+        )
+            .prop_map(|(alpha, frac, mu, a, w)| {
+                TrafficClass::bpp(alpha, frac * mu, mu)
+                    .with_bandwidth(a)
+                    .with_weight(w)
+            });
+        let bernoulli = (1u64..6, 0.01f64..0.5, 0.5f64..2.0, 0.01f64..2.0).prop_map(
+            move |(extra, p_rate, mu, w)| {
+                let s = (max_n as u64 + extra) as f64;
+                TrafficClass::bpp(s * p_rate, -p_rate, mu).with_weight(w)
+            },
+        );
+        prop_oneof![poisson, pascal, bernoulli]
+    }
+
+    /// Random models with mostly rectangular dims (`N1 ≠ N2`).
+    fn arb_model() -> impl Strategy<Value = Model> {
+        (2u32..20, 2u32..20).prop_flat_map(|(n1, n2)| {
+            let max_n = n1.max(n2);
+            prop::collection::vec(arb_class(max_n), 1..4).prop_filter_map(
+                "classes must fit switch",
+                move |classes| {
+                    let min_n = n1.min(n2);
+                    if classes.iter().any(|c| c.bandwidth > min_n) {
+                        return None;
+                    }
+                    Model::new(Dims::new(n1, n2), Workload::from_classes(classes)).ok()
+                },
+            )
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn cache_hit_returns_identical_measures(
+            model in arb_model(),
+            algorithm in prop_oneof![
+                Just(Algorithm::Auto),
+                Just(Algorithm::Alg1F64),
+                Just(Algorithm::Alg1Ext),
+                Just(Algorithm::Alg1Scaled),
+            ],
+        ) {
+            let cache = SolveCache::new(4);
+            let cold = solve(&model, algorithm).unwrap();
+            let miss = cache.get_or_solve(&model, algorithm).unwrap();
+            let hit = cache.get_or_solve(&model, algorithm).unwrap();
+            prop_assert_eq!(cache.stats().hits, 1);
+            prop_assert_eq!(cache.stats().misses, 1);
+            // The hit shares the miss's lattice, and both equal a cold solve
+            // exactly (same code path; memoization must not perturb results).
+            prop_assert!(std::sync::Arc::ptr_eq(&miss, &hit));
+            prop_assert_eq!(hit.measures(), cold.measures());
+            prop_assert_eq!(hit.algorithm(), algorithm);
+        }
     }
 }

@@ -3,8 +3,8 @@
 //! Every numerical study in the paper (Figures 1–4, Tables 1–2, the
 //! hotspot and rectangular sweeps) varies **one class's** BPP parameters
 //! (`α_r`, `β_r`) or its rate `a_r` across dozens of points, yet a fresh
-//! [`solve`](crate::solve) pays the full `O(N1·N2·R)` Algorithm-1
-//! recursion at every point. The product form factors per class,
+//! [`solve`](crate::solve) installs every class again at every point.
+//! The product form factors per class,
 //!
 //! ```text
 //! G = Ψ ⊛ Φ_1 ⊛ … ⊛ Φ_R,
@@ -32,7 +32,10 @@
 //! dims). The ray is *closed* under the class-deletion convolution, so
 //! the solver stores `O(min N)` values per class instead of `O(N1·N2)`
 //! and a recombination costs `O(C²/a_r)` multiply-adds — this is what
-//! buys the large per-point speedup over a fresh lattice solve.
+//! buys the large per-point speedup over a fresh lattice solve. The same
+//! closure makes the full ray alone the production solver:
+//! `solve(model, Auto)` installs the `R` classes once on the empty ray
+//! ([`full_ray`]) and reads every measure from it.
 //!
 //! Two numeric backends mirror Algorithm 1's, over the same
 //! [`QScalar`] trait: scaled `f64` (the §6 geometric schedule, same
@@ -41,9 +44,9 @@
 //! `Algorithm::Auto` tries the scaled rays at every `N` — the largest
 //! scaled ray value is about `e^{2N/e}`, in `f64` range up to
 //! `N ≈ 960` at light load — and falls back to extended range only where
-//! a scaled ray leaves its operating envelope: a whole precompute, or a
-//! single recombination, which is then redone against extended-range
-//! rays built once per solver on first need.
+//! a scaled ray leaves its operating envelope: a full ray, a whole
+//! precompute, or a single recombination, which is then redone against
+//! extended-range rays built once per solver on first need.
 //!
 //! The same partials yield the §4 sensitivity gradients **exactly**:
 //! differentiating `Φ_r` term-by-term gives `∂Q/∂ρ_s` and `∂Q/∂y_s`
@@ -57,11 +60,8 @@ use xbar_numeric::{permutation, ExtFloat};
 use xbar_traffic::{TrafficClass, Workload};
 
 use crate::alg1::{scale_ln_c, QRatio, QScalar};
-use crate::measures::{
-    measures, measures_at, revenue_gradient_rho_closed, shadow_cost, SwitchMeasures,
-};
 use crate::model::{Dims, Model};
-use crate::solver::{Algorithm, SolveError};
+use crate::solver::{Algorithm, Backend, Solution, SolveError};
 
 /// The normalised lattice restricted to the main diagonal ray
 /// `(N1 − d, N2 − d)`, `d = 0..=C`, `C = min(N1, N2)`.
@@ -72,13 +72,24 @@ use crate::solver::{Algorithm, SolveError};
 /// extended-range backend). Ratios between ray points therefore need a
 /// `c^{2(d_num − d_den)}` correction, applied in [`QRatio::q_ratio`].
 #[derive(Clone, Debug)]
-struct Ray<S> {
+pub(crate) struct Ray<S> {
     dims: Dims,
     ln_c: f64,
     vals: Vec<S>,
 }
 
 impl<S: QScalar> Ray<S> {
+    /// The full ray of `model`: its classes installed, in order, on the
+    /// empty ray. Bit-for-bit the full ray [`Rays::build`] keeps.
+    fn of(model: &Model, ln_c: f64) -> Self {
+        let empty = empty_ray(model.dims(), ln_c);
+        Ray {
+            dims: model.dims(),
+            ln_c,
+            vals: install_all(empty, model.workload().classes(), ln_c),
+        }
+    }
+
     /// Ray index of the lattice point `p`, panicking (like
     /// `QLattice::q`) if `p` is off the ray or outside the dims.
     fn d_of(&self, p: (i64, i64)) -> usize {
@@ -166,6 +177,18 @@ fn empty_ray<S: QScalar>(dims: Dims, ln_c: f64) -> Vec<S> {
             S::from_ln(sum * ln_c - xbar_numeric::ln_factorial(n1) - xbar_numeric::ln_factorial(n2))
         })
         .collect()
+}
+
+/// `solve(model, Auto)`'s backend: the full ray in scaled `f64`, or in
+/// extended range (counted as `sweep.escalate`) where the scaled ray is
+/// unhealthy. `R` class installs; no leave-one-out rays.
+pub(crate) fn full_ray(model: &Model) -> Backend {
+    let scaled = Ray::of(model, scale_ln_c(model.dims()));
+    if scaled.is_healthy() {
+        return Backend::RayScaled(scaled);
+    }
+    xbar_obs::inc("sweep.escalate");
+    Backend::RayExt(Ray::of(model, 0.0))
 }
 
 /// One backend's precompute: the full ray of the base model and its
@@ -257,9 +280,9 @@ enum Repr {
 /// ```
 pub struct SweepSolver {
     base: Model,
-    /// Whether scaled rays fall back to extended range (an `Auto`
-    /// request) instead of failing.
-    auto: bool,
+    /// The requested algorithm; only `Auto` lets scaled rays fall back
+    /// to extended range instead of failing.
+    algorithm: Algorithm,
     repr: Repr,
     /// `Auto`'s extended-range rays of `base`, built on the first scaled
     /// point or gradient that leaves the envelope and shared by every
@@ -285,11 +308,11 @@ impl SweepSolver {
 
     /// [`SweepSolver::new`] with the scaled rays' `ln c` given.
     fn with_scale(model: &Model, algorithm: Algorithm, ln_c: f64) -> Result<Self, SolveError> {
-        let auto = matches!(algorithm, Algorithm::Auto);
+        let auto = algorithm == Algorithm::Auto;
         let scaled_first = auto || matches!(algorithm, Algorithm::Alg1F64 | Algorithm::Alg1Scaled);
         let solver = |repr| Self {
             base: model.clone(),
-            auto,
+            algorithm,
             repr,
             fallback: OnceLock::new(),
         };
@@ -323,8 +346,8 @@ impl SweepSolver {
     }
 
     /// The backend of the precompute (`Alg1Scaled` or `Alg1Ext`). Under
-    /// `Auto` a point solve may still report `Alg1Ext` where its scaled
-    /// recombination fell back (see [`SweepSolution::algorithm`]).
+    /// `Auto` a point may still fall back to extended range where its
+    /// scaled recombination is unhealthy (counted as `sweep.escalate`).
     pub fn algorithm(&self) -> Algorithm {
         match self.repr {
             Repr::Scaled(_) => Algorithm::Alg1Scaled,
@@ -333,7 +356,7 @@ impl SweepSolver {
     }
 
     /// Solve the *base* model (no edit) from the cached full ray.
-    pub fn solve_base(&self) -> Result<SweepSolution, SolveError> {
+    pub fn solve_base(&self) -> Result<Solution, SolveError> {
         self.solve_point(self.base.clone(), None)
     }
 
@@ -341,11 +364,7 @@ impl SweepSolver {
     /// and solve by one `O(C²/a)` recombination against the cached
     /// leave-one-out ray. The replacement is validated like
     /// [`Model::new`].
-    pub fn solve_with_class(
-        &self,
-        r: usize,
-        class: TrafficClass,
-    ) -> Result<SweepSolution, SolveError> {
+    pub fn solve_with_class(&self, r: usize, class: TrafficClass) -> Result<Solution, SolveError> {
         let mut classes = self.base.workload().classes().to_vec();
         classes[r] = class;
         let model = Model::new(self.base.dims(), Workload::from_classes(classes))?;
@@ -356,7 +375,7 @@ impl SweepSolver {
     /// `α_r = ρ_r·μ_r`), keeping `β_r`, `μ_r` and `a_r`. Like
     /// [`Model::with_rho`] this skips re-validation, analytically
     /// continuing the class.
-    pub fn solve_with_rho(&self, r: usize, rho: f64) -> Result<SweepSolution, SolveError> {
+    pub fn solve_with_rho(&self, r: usize, rho: f64) -> Result<Solution, SolveError> {
         let model = self
             .base
             .with_rho(r, rho)
@@ -368,7 +387,7 @@ impl SweepSolver {
     /// `α_r`, `μ_r` and `a_r`. Like [`Model::with_beta_over_mu`] this
     /// skips re-validation (analytic continuation across the Bernoulli/
     /// Poisson/Pascal boundary).
-    pub fn solve_with_beta_over_mu(&self, r: usize, x: f64) -> Result<SweepSolution, SolveError> {
+    pub fn solve_with_beta_over_mu(&self, r: usize, x: f64) -> Result<Solution, SolveError> {
         let model = self
             .base
             .with_beta_over_mu(r, x)
@@ -376,7 +395,7 @@ impl SweepSolver {
         self.solve_edited(r, model)
     }
 
-    fn solve_edited(&self, r: usize, model: Model) -> Result<SweepSolution, SolveError> {
+    fn solve_edited(&self, r: usize, model: Model) -> Result<Solution, SolveError> {
         let class = &model.workload().classes()[r];
         let base = &self.base.workload().classes()[r];
         // The weight only enters the measures, not the lattice: a
@@ -391,20 +410,18 @@ impl SweepSolver {
     /// Measures of `model` from [`Rays::point`] in whichever backend the
     /// precompute settled on; under `Auto` an unhealthy scaled point is
     /// redone on the extended-range fallback rays.
-    fn solve_point(&self, model: Model, edit: Option<usize>) -> Result<SweepSolution, SolveError> {
-        let ray = match &self.repr {
+    fn solve_point(&self, model: Model, edit: Option<usize>) -> Result<Solution, SolveError> {
+        let backend = match &self.repr {
             Repr::Scaled(rays) => match rays.point(&model, edit) {
-                Ok(ray) => RayRepr::Scaled(ray),
-                Err(_) if self.auto => RayRepr::Ext(self.fallback().point(&model, edit)?),
+                Ok(ray) => Backend::RayScaled(ray),
+                Err(_) if self.algorithm == Algorithm::Auto => {
+                    Backend::RayExt(self.fallback().point(&model, edit)?)
+                }
                 Err(e) => return Err(e),
             },
-            Repr::Ext(rays) => RayRepr::Ext(rays.point(&model, edit)?),
+            Repr::Ext(rays) => Backend::RayExt(rays.point(&model, edit)?),
         };
-        let algorithm = match ray {
-            RayRepr::Scaled(_) => Algorithm::Alg1Scaled,
-            RayRepr::Ext(_) => Algorithm::Alg1Ext,
-        };
-        SweepSolution::from_ray(model, algorithm, ray)
+        Solution::new(model, self.algorithm, backend)
     }
 
     /// Exact §4 sensitivity gradients of the *base* model with respect
@@ -433,7 +450,7 @@ impl SweepSolver {
         match &self.repr {
             Repr::Scaled(rays) => {
                 let g = gradients_impl(&self.base, &rays.full, &rays.loo[s], s);
-                if !self.auto || g.is_finite() {
+                if self.algorithm != Algorithm::Auto || g.is_finite() {
                     return g;
                 }
                 let ext = self.fallback();
@@ -686,7 +703,7 @@ impl SweepGrid {
         model: &Model,
         r: usize,
         class: TrafficClass,
-    ) -> Result<SweepSolution, SolveError> {
+    ) -> Result<Solution, SolveError> {
         self.solver(model, r)?.solve_with_class(r, class)
     }
 
@@ -729,7 +746,7 @@ impl SweepGrid {
     pub fn solve_batch(
         &self,
         cells: &[(Model, usize, TrafficClass)],
-    ) -> Vec<Result<SweepSolution, SolveError>> {
+    ) -> Vec<Result<Solution, SolveError>> {
         let pairs: Vec<(Model, usize)> = cells.iter().map(|(m, r, _)| (m.clone(), *r)).collect();
         self.warm(&pairs);
         cells
@@ -805,121 +822,6 @@ impl SweepGradients {
     }
 }
 
-enum RayRepr {
-    Scaled(Ray<f64>),
-    Ext(Ray<ExtFloat>),
-}
-
-impl QRatio for RayRepr {
-    fn dims(&self) -> Dims {
-        match self {
-            RayRepr::Scaled(r) => r.dims(),
-            RayRepr::Ext(r) => r.dims(),
-        }
-    }
-
-    fn q_ratio(&self, num: (i64, i64), den: (i64, i64)) -> f64 {
-        match self {
-            RayRepr::Scaled(r) => r.q_ratio(num, den),
-            RayRepr::Ext(r) => r.q_ratio(num, den),
-        }
-    }
-}
-
-/// One solved sweep point: the recombined diagonal ray plus the
-/// evaluated measures. Mirrors [`Solution`](crate::Solution)'s accessors
-/// for everything the ray can answer (all the scalar measures, on-ray
-/// `measures_at`, shadow costs and the closed-form revenue gradient).
-pub struct SweepSolution {
-    model: Model,
-    algorithm: Algorithm,
-    ray: RayRepr,
-    measures: SwitchMeasures,
-}
-
-impl SweepSolution {
-    fn from_ray(model: Model, algorithm: Algorithm, ray: RayRepr) -> Result<Self, SolveError> {
-        let m = measures(&model, &ray);
-        m.validate().map_err(|source| {
-            xbar_obs::inc("solver.reject.guard");
-            SolveError::Guard { algorithm, source }
-        })?;
-        Ok(Self {
-            model,
-            algorithm,
-            ray,
-            measures: m,
-        })
-    }
-
-    /// The (possibly edited) model this point solves.
-    pub fn model(&self) -> &Model {
-        &self.model
-    }
-
-    /// The backend that produced the ray.
-    pub fn algorithm(&self) -> Algorithm {
-        self.algorithm
-    }
-
-    /// All measures at the full dims.
-    pub fn measures(&self) -> &SwitchMeasures {
-        &self.measures
-    }
-
-    /// Blocking probability `1 − B_r` complement for class `r`.
-    pub fn blocking(&self, r: usize) -> f64 {
-        self.measures.classes[r].blocking
-    }
-
-    /// Tuple availability `B_r` for class `r`.
-    pub fn nonblocking(&self, r: usize) -> f64 {
-        self.measures.classes[r].nonblocking
-    }
-
-    /// Expected concurrency `E_r` for class `r`.
-    pub fn concurrency(&self, r: usize) -> f64 {
-        self.measures.classes[r].concurrency
-    }
-
-    /// Throughput `μ_r·E_r` for class `r`.
-    pub fn throughput(&self, r: usize) -> f64 {
-        self.measures.classes[r].throughput
-    }
-
-    /// Call acceptance ratio for class `r`.
-    pub fn call_acceptance(&self, r: usize) -> f64 {
-        self.measures.classes[r].call_acceptance
-    }
-
-    /// Revenue `W = Σ_r w_r·E_r`.
-    pub fn revenue(&self) -> f64 {
-        self.measures.revenue
-    }
-
-    /// Total throughput `Σ_r μ_r·E_r`.
-    pub fn total_throughput(&self) -> f64 {
-        self.measures.total_throughput
-    }
-
-    /// Measures of the sub-switch at `dims` — which must lie on the main
-    /// diagonal ray `(N1−d, N2−d)` (panics otherwise; a full lattice is
-    /// needed for off-ray sub-switches).
-    pub fn measures_at(&self, dims: Dims) -> SwitchMeasures {
-        measures_at(&self.model, &self.ray, dims)
-    }
-
-    /// §4 shadow cost of admitting one class-`r` call.
-    pub fn shadow_cost(&self, r: usize) -> f64 {
-        shadow_cost(&self.model, &self.ray, r)
-    }
-
-    /// Closed-form §4 revenue gradient `∂W/∂ρ_r` (Poisson-exact).
-    pub fn revenue_gradient_rho(&self, r: usize) -> f64 {
-        revenue_gradient_rho_closed(&self.model, &self.ray, r)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -947,7 +849,7 @@ mod tests {
         Model::new(Dims::new(n1, n2), w).unwrap()
     }
 
-    fn assert_matches_solution(point: &SweepSolution, model: &Model, alg: Algorithm, tol: f64) {
+    fn assert_matches_solution(point: &Solution, model: &Model, alg: Algorithm, tol: f64) {
         let sol = solve(model, alg).unwrap();
         for r in 0..model.num_classes() {
             close(point.nonblocking(r), sol.nonblocking(r), tol);
@@ -1284,11 +1186,13 @@ mod tests {
     #[test]
     fn auto_sweep_redoes_an_overflowing_recombination_in_ext() {
         let model = light_n64();
+        let reg = std::sync::Arc::new(xbar_obs::Registry::new());
+        let _g = xbar_obs::scope(&reg);
         let auto = SweepSolver::new(&model, Algorithm::Auto).unwrap();
         assert_eq!(auto.algorithm(), Algorithm::Alg1Scaled);
         // ρ = 1e4 overflows the scaled Φ̂ series of the recombination.
         let point = auto.solve_with_rho(0, 1e4).unwrap();
-        assert_eq!(point.algorithm(), Algorithm::Alg1Ext);
+        assert_eq!(reg.snapshot().counter("sweep.escalate"), Some(1));
         let ext = SweepSolver::new(&model, Algorithm::Alg1Ext).unwrap();
         let want = ext.solve_with_rho(0, 1e4).unwrap();
         for r in 0..model.num_classes() {
@@ -1311,11 +1215,10 @@ mod tests {
         let auto = SweepSolver::new(&light_n64(), Algorithm::Auto).unwrap();
         assert_eq!(reg.snapshot().counter("sweep.escalate"), None);
         for rho in [1e4, 3e4] {
-            let point = auto.solve_with_rho(0, rho).unwrap();
-            assert_eq!(point.algorithm(), Algorithm::Alg1Ext);
+            auto.solve_with_rho(0, rho).unwrap();
+            assert_eq!(reg.snapshot().counter("sweep.escalate"), Some(1));
         }
-        let point = auto.solve_with_beta_over_mu(1, 1e4).unwrap();
-        assert_eq!(point.algorithm(), Algorithm::Alg1Ext);
+        auto.solve_with_beta_over_mu(1, 1e4).unwrap();
         assert_eq!(reg.snapshot().counter("sweep.escalate"), Some(1));
     }
 
@@ -1325,10 +1228,15 @@ mod tests {
         let auto = SweepSolver::new(&model, Algorithm::Auto).unwrap();
         let scaled = SweepSolver::new(&model, Algorithm::Alg1Scaled).unwrap();
         auto.solve_with_rho(0, 1e4).unwrap();
-        for rho in [5e-4, 2e-3, 1e-2] {
-            let point = auto.solve_with_rho(0, rho).unwrap();
-            assert_eq!(point.algorithm(), Algorithm::Alg1Scaled);
-            let want = scaled.solve_with_rho(0, rho).unwrap();
+        let points = [5e-4, 2e-3, 1e-2].map(|rho| {
+            (
+                auto.solve_with_rho(0, rho).unwrap(),
+                scaled.solve_with_rho(0, rho).unwrap(),
+            )
+        });
+        let base = (auto.solve_base().unwrap(), scaled.solve_base().unwrap());
+        for (point, want) in points.iter().chain([&base]) {
+            assert_eq!(point.algorithm(), Algorithm::Auto);
             for r in 0..model.num_classes() {
                 assert_eq!(
                     point.nonblocking(r).to_bits(),
@@ -1336,10 +1244,6 @@ mod tests {
                 );
             }
         }
-        assert_eq!(
-            auto.solve_base().unwrap().algorithm(),
-            Algorithm::Alg1Scaled
-        );
     }
 
     #[test]

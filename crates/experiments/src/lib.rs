@@ -62,9 +62,9 @@ use crossbeam::thread;
 /// The thread count follows [`xbar_core::parallel::effective_threads`]
 /// (so the CLI's `--threads` and `XBAR_THREADS` apply here too), workers
 /// drain the queue in small batches ([`SegQueue::pop_batch`]) to amortise
-/// the shim's lock, and each item runs with the solver pinned to one
-/// thread — with whole sweep points to hand out, across-item parallelism
-/// dominates nested wavefront parallelism.
+/// the shim's lock, and each item runs pinned to one thread — with whole
+/// sweep points to hand out, a nested fleet batch inside an item runs
+/// inline instead of fanning out over the pool again.
 ///
 /// [`SegQueue::pop_batch`]: crossbeam::queue::SegQueue::pop_batch
 pub fn par_map<T, U, F>(items: Vec<T>, f: F) -> Vec<U>

@@ -18,16 +18,14 @@
 //!   default), a recording call is one thread-local read plus one relaxed
 //!   atomic load and returns immediately — no clock reads, no allocation,
 //!   no locks. Instrumentation sits at aggregation points (per solve, per
-//!   anti-diagonal, per simulation run), never per lattice cell or per
+//!   recombination, per simulation run), never per lattice cell or per
 //!   simulated event, so even the enabled cost is amortised away.
 //! * **Deterministic when snapshotted.** [`Registry::snapshot`] returns
 //!   name-sorted values. Counter values depend only on the work performed
 //!   (instrumented code increments them by data-dependent amounts, never
-//!   by timing), so two runs of the same workload — serial or wavefront,
-//!   one worker or eight — agree on every counter. Timings (span
-//!   histograms) are of course machine-dependent; comparisons that want
-//!   determinism use [`Snapshot::counters_excluding`] to drop the
-//!   documented timing-only names.
+//!   by timing), so two runs of the same workload — one worker or
+//!   eight — agree on every counter. Timings (span histograms) are of
+//!   course machine-dependent.
 //! * **Isolated in tests.** A test installs its own registry with
 //!   [`scope`] and sees only its own workload's metrics, immune to the
 //!   test harness running other solves concurrently. Worker threads
@@ -656,18 +654,6 @@ impl Snapshot {
             .map(|(_, h)| h)
     }
 
-    /// The counters whose names start with none of `prefixes` — for
-    /// comparing two runs while ignoring names that legitimately differ
-    /// (e.g. the `alg1.sweep.serial`/`alg1.sweep.parallel` decision
-    /// counters between a forced-serial and a forced-parallel run).
-    pub fn counters_excluding(&self, prefixes: &[&str]) -> Vec<(String, u64)> {
-        self.counters
-            .iter()
-            .filter(|(n, _)| !prefixes.iter().any(|p| n.starts_with(p)))
-            .cloned()
-            .collect()
-    }
-
     /// Serialise to pretty-printed, schema-versioned JSON. Hand-rolled —
     /// the build environment has no serde — and stable: keys are sorted,
     /// floats are exponent-notation.
@@ -1000,19 +986,6 @@ mod tests {
         assert!(snap.to_text().contains("no metrics"));
         let json = snap.to_json();
         assert!(json.contains("\"counters\": {}"));
-    }
-
-    #[test]
-    fn counters_excluding_filters_by_prefix() {
-        let reg = Registry::new();
-        reg.counter("alg1.sweep.serial").add(1);
-        reg.counter("alg1.cells").add(100);
-        reg.counter("cache.hits").add(2);
-        let snap = reg.snapshot();
-        let kept = snap.counters_excluding(&["alg1.sweep."]);
-        assert_eq!(kept.len(), 2);
-        assert!(kept.iter().any(|(n, _)| n == "alg1.cells"));
-        assert!(kept.iter().any(|(n, _)| n == "cache.hits"));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! line-search probes of the gradient strategy that move one knob)
 //! recombine against a single leave-one-out precompute in `O(C²/a)`.
 
-use xbar_core::{SolveError, SweepGrid, SweepSolution};
+use xbar_core::{Solution, SolveError, SweepGrid};
 
 use crate::space::{Candidate, DesignSpace};
 
@@ -22,7 +22,7 @@ pub enum Objective {
 
 impl Objective {
     /// Extract the objective value from a solved candidate.
-    pub fn value(self, sol: &SweepSolution) -> f64 {
+    pub fn value(self, sol: &Solution) -> f64 {
         match self {
             Objective::Revenue => sol.revenue(),
         }
@@ -129,7 +129,7 @@ mod tests {
         let grid = SweepGrid::new(Algorithm::Auto);
         let c = space.candidate(0);
         let ev = evaluate(&space, &grid, c.clone(), Objective::Revenue).unwrap();
-        let sol = solve(&space.model_for(&c).unwrap(), Algorithm::Auto).unwrap();
+        let sol = solve(&space.model_for(&c).unwrap(), Algorithm::Alg1Ext).unwrap();
         assert!((ev.objective - sol.revenue()).abs() < 1e-12);
         for k in 0..2 {
             assert!((ev.call_blocking[k] - (1.0 - sol.call_acceptance(k))).abs() < 1e-12);

@@ -20,8 +20,8 @@
 //! smoke that diffs t1 vs t4 CLI output). Inside a pool worker each
 //! replication pins its nested parallelism to one thread
 //! ([`parallel::with_threads`]) — solver results are bit-identical across
-//! thread counts anyway (the wavefront and fleet equivalence batteries),
-//! this just avoids oversubscribing the pool.
+//! thread counts anyway (the fleet equivalence battery), this just avoids
+//! oversubscribing the pool.
 //!
 //! # Adaptive stopping
 //!

@@ -1556,8 +1556,8 @@ fn emit_metrics(target: &str) -> Result<(), CliError> {
 /// Parse and execute; the returned error carries its exit code.
 pub fn run(argv: &[String]) -> Result<(), CliError> {
     let args = parse_args(argv).map_err(CliError::Usage)?;
-    // 0 = auto (available_parallelism / XBAR_THREADS); the wavefront solver
-    // and fleet solves read this process-wide setting.
+    // 0 = auto (available_parallelism / XBAR_THREADS); fleet solves and
+    // replicated simulations read this process-wide setting.
     xbar_core::parallel::set_threads(args.threads);
     if args.metrics.is_some() {
         xbar_obs::set_global_enabled(true);

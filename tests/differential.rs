@@ -485,13 +485,13 @@ fn arb_plan_space() -> impl Strategy<Value = DesignSpace> {
         )
 }
 
-/// Solve candidate `i` with a fresh full solve; `Some((i, revenue))` iff
-/// it satisfies every SLO.
+/// Solve candidate `i` with a fresh Algorithm 1 lattice solve, independent
+/// of the planner's rays; `Some((i, revenue))` iff it satisfies every SLO.
 fn brute_objective(space: &DesignSpace, i: u64) -> Option<(u64, f64)> {
     let model = space
         .model_for(&space.candidate(i))
         .expect("valid candidate");
-    let sol = solve(&model, Algorithm::Auto).expect("solvable");
+    let sol = solve(&model, Algorithm::Alg1Ext).expect("solvable");
     let feasible = space
         .slos
         .iter()
@@ -534,13 +534,15 @@ fn auto_sweep_stays_scaled_and_matches_ext_at_plan_grid_loads() {
                     .with_weight(4.0),
             );
         let model = Model::new(Dims::square(n), w).unwrap();
+        let reg = std::sync::Arc::new(xbar_obs::Registry::new());
+        let _g = xbar_obs::scope(&reg);
         let auto = SweepSolver::new(&model, Algorithm::Auto).unwrap();
         assert_eq!(auto.algorithm(), Algorithm::Alg1Scaled, "N = {n}");
         let ext = SweepSolver::new(&model, Algorithm::Alg1Ext).unwrap();
         let edits = [(0, 5e-6), (0, 2e-4), (2, 1e-11), (2, 2e-10)];
         for (r, rho) in edits {
             let got = auto.solve_with_rho(r, rho).unwrap();
-            assert_eq!(got.algorithm(), Algorithm::Alg1Scaled, "N = {n}");
+            assert_eq!(reg.snapshot().counter("sweep.escalate"), None, "N = {n}");
             let want = ext.solve_with_rho(r, rho).unwrap();
             for q in 0..model.num_classes() {
                 check("B", n, got.nonblocking(q), want.nonblocking(q));

@@ -1,7 +1,7 @@
 //! Golden-file regression tests: the CSV artefacts of the batched
 //! experiment drivers are snapshotted under `tests/golden/` and must match
-//! byte-for-byte. Every solve is deterministic (the wavefront sweep is
-//! bit-for-bit identical at any thread count) and the simulated sweep runs
+//! byte-for-byte. Every solve is deterministic (single-threaded per model,
+//! bit-for-bit identical at any pool width) and the simulated sweep runs
 //! at a fixed seed, so any diff is a real behaviour change.
 //!
 //! To refresh after an intentional change:
