@@ -35,7 +35,7 @@
 //! Three [`PolicySpec`]s are pluggable: complete sharing (the paper's
 //! model), per-class trunk reservation (the semantics of
 //! [`xbar_core::policy::solve_policy`]), and revenue-aware shadow-price
-//! thresholding derived from [`xbar_core::sensitivity`].
+//! thresholding derived from [`xbar_core::sensitivity()`].
 
 pub mod engine;
 pub mod policy;

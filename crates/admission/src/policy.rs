@@ -21,7 +21,7 @@ pub enum PolicySpec {
     /// connection slots behind (one threshold per class, in class order).
     TrunkReservation(Vec<u32>),
     /// Revenue-aware shadow-price thresholding: classes whose revenue
-    /// gradient `∂W/∂ρ_r` (via [`xbar_core::sensitivity`]) is negative —
+    /// gradient `∂W/∂ρ_r` (via [`xbar_core::sensitivity()`]) is negative —
     /// i.e. whose §4 shadow cost exceeds their weight — are throttled
     /// with a reservation threshold of `reserve` slots; profitable
     /// classes share completely.

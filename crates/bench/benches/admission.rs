@@ -48,7 +48,7 @@ fn bench_offer_depart_cycle(c: &mut Criterion) {
 }
 
 /// End-to-end synthetic replay (jump chain + tuple coin + engine) per
-/// policy — the number BENCH_4.json tracks as events/sec.
+/// policy, 100k events each; the throughput reads as events/sec.
 fn bench_replay(c: &mut Criterion) {
     let mut g = c.benchmark_group("admission_replay");
     g.sample_size(10);

@@ -9,6 +9,7 @@ use std::hint::black_box;
 
 use xbar_bench::{mixed_model, table2_model};
 use xbar_core::brute::Brute;
+use xbar_core::sensitivity::sensitivity;
 use xbar_core::{solve, Algorithm};
 
 /// Shared quick profile: the regeneration costs here are seconds-scale,
@@ -25,6 +26,7 @@ fn bench_algorithms_by_size(c: &mut Criterion) {
     for n in [8u32, 32, 128] {
         let model = table2_model(n);
         for alg in [
+            Algorithm::Auto,
             Algorithm::Alg1Scaled,
             Algorithm::Alg1Ext,
             Algorithm::Mva,
@@ -92,6 +94,9 @@ fn bench_gradients(c: &mut Criterion) {
     g.sample_size(20);
     g.bench_function("forward_difference_beta", |b| {
         b.iter(|| black_box(sol.revenue_gradient_beta_fd(1).unwrap()))
+    });
+    g.bench_function("exact_sensitivity", |b| {
+        b.iter(|| black_box(sensitivity(&model, Algorithm::Auto).unwrap()))
     });
     g.finish();
 }

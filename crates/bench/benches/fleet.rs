@@ -18,8 +18,8 @@ fn quick() -> Criterion {
 }
 
 /// Whole-batch anchor solves through a fresh cache per iteration, so
-/// every member is a real lattice solve (the trajectory binary's
-/// `fleet/anchor-solves-per-sec` records, under Criterion's harness).
+/// every member is a real solve: `Algorithm::Auto`, which answers from
+/// the diagonal ray (R class installs on the empty ray), not a lattice.
 fn bench_fleet_solve(c: &mut Criterion) {
     let mut g = c.benchmark_group("fleet_solve");
     g.sample_size(10);

@@ -155,6 +155,7 @@ mod tests {
     use super::*;
     use crate::model::Dims;
     use crate::solver::{solve, Algorithm};
+    use crate::sweep::SweepSolver;
     use xbar_traffic::{TrafficClass, Workload};
 
     fn poisson_model(n: u32, rho: f64) -> Model {
@@ -232,6 +233,64 @@ mod tests {
         let exact = solve(&m, Algorithm::Auto).unwrap();
         let rel = (fp.revenue(&m) - exact.revenue()).abs() / exact.revenue();
         assert!(rel < 0.01, "{rel}");
+    }
+
+    #[test]
+    fn independent_port_gap_falls_as_one_over_n() {
+        // The reduced-load estimate shares no code with the diagonal
+        // rays, and its only error is the port-occupancy correlation,
+        // which fades as 1/N under a fixed per-port load. So the relative
+        // gap in B_r times N must stay flat as N grows, for the
+        // production solve and for the extended-range rays alike: a
+        // wrong term in a class install shows up as a gap that does not
+        // shrink. Three classes (Poisson, Pascal with tuple-scaled
+        // peakedness term 0.4, Poisson at a = 2), each offered
+        // `load·N/3` tuple-scaled Erlangs.
+        fn model(n: u32, load: f64) -> Model {
+            let nn = n as f64;
+            let (t1, t2) = (nn * nn, (nn * (nn - 1.0)).powi(2));
+            let erlangs = load * nn / 3.0;
+            let w = Workload::new()
+                .with(TrafficClass::poisson(erlangs / t1))
+                .with(TrafficClass::bpp(erlangs / t1, 0.4 / t1, 1.0))
+                .with(TrafficClass::poisson(erlangs / t2).with_bandwidth(2));
+            Model::new(Dims::square(n), w).unwrap()
+        }
+        // N·gap against `solve(Auto)` and against the extended-range rays.
+        fn n_gaps(n: u32, load: f64) -> [f64; 2] {
+            let m = model(n, load);
+            let fp = reduced_load(&m);
+            let auto = solve(&m, Algorithm::Auto).unwrap();
+            let ext = SweepSolver::new(&m, Algorithm::Alg1Ext)
+                .unwrap()
+                .solve_base()
+                .unwrap();
+            [auto, ext].map(|exact| {
+                let gap = (0..3)
+                    .map(|r| (fp.nonblocking[r] / exact.nonblocking(r) - 1.0).abs())
+                    .fold(0.0, f64::max);
+                n as f64 * gap
+            })
+        }
+        for (load, sizes) in [
+            (0.01, &[64u32, 256][..]),
+            (1.0, &[64, 256, 2048][..]),
+            (4.0, &[64, 256][..]),
+        ] {
+            let base = n_gaps(sizes[0], load);
+            assert!(
+                base.iter().all(|&b| b > 0.05 && b < 2.0),
+                "load {load}: N·gap {base:?}"
+            );
+            for &n in &sizes[1..] {
+                let at = n_gaps(n, load);
+                assert!(
+                    base.iter().zip(&at).all(|(b, a)| (a / b - 1.0).abs() < 0.1),
+                    "load {load}: N·gap (auto, ext) {base:?} at N = {} but {at:?} at N = {n}",
+                    sizes[0]
+                );
+            }
+        }
     }
 
     #[test]

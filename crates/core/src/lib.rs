@@ -54,7 +54,7 @@
 //! * [`policy`] — trunk-reservation admission control, turning §4's
 //!   shadow-price diagnosis into an enforceable policy (numerical chain
 //!   solve; no product form).
-//! * [`sensitivity`] — full cross-class Jacobians `∂B_r/∂ρ_s`,
+//! * [`sensitivity`](mod@sensitivity) — full cross-class Jacobians `∂B_r/∂ρ_s`,
 //!   `∂E_r/∂ρ_s`, `∂W/∂·` (the matrix version of §4's gradients),
 //!   computed exactly from the sweep partials (finite differences kept
 //!   as a test oracle).

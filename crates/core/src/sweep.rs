@@ -35,7 +35,7 @@
 //! buys the large per-point speedup over a fresh lattice solve. The same
 //! closure makes the full ray alone the production solver:
 //! `solve(model, Auto)` installs the `R` classes once on the empty ray
-//! ([`full_ray`]) and reads every measure from it.
+//! (`full_ray`) and reads every measure from it.
 //!
 //! Two numeric backends mirror Algorithm 1's, over the same
 //! [`QScalar`] trait: scaled `f64` (the §6 geometric schedule, same
@@ -612,12 +612,12 @@ fn loo_fingerprint(model: &Model, r: usize, algorithm: Algorithm) -> u64 {
 /// geometry axis (different `Dims`) adds one precompute per geometry,
 /// not one per cell. [`SweepSolver`] alone cannot amortise this across
 /// rows whose *base* models differ only in class `r`; the grid keys its
-/// cache by [`loo_fingerprint`] (dims + backend + the classes other
+/// cache by `loo_fingerprint` (dims + backend + the classes other
 /// than `r`), so such rows share the cached partials.
 ///
 /// Cache hits count as `sweep.grid.reuse`, misses as
 /// `sweep.grid.build`; batch warm-up of missing entries is sharded over
-/// the persistent worker pool (see [`SweepGrid::solve_batch`]).
+/// the persistent worker pool (see [`SweepGrid::warm`]).
 ///
 /// ```
 /// use xbar_core::{Algorithm, Dims, Model, SweepGrid};
@@ -737,22 +737,6 @@ impl SweepGrid {
             }
         }
         won
-    }
-
-    /// Solve a batch of cells `(model, r, class)`, building every
-    /// *distinct* missing `G_{-r}` entry in parallel over the persistent
-    /// worker pool first (see [`SweepGrid::warm`]), then recombining the
-    /// cells in order. Results keep the input order.
-    pub fn solve_batch(
-        &self,
-        cells: &[(Model, usize, TrafficClass)],
-    ) -> Vec<Result<Solution, SolveError>> {
-        let pairs: Vec<(Model, usize)> = cells.iter().map(|(m, r, _)| (m.clone(), *r)).collect();
-        self.warm(&pairs);
-        cells
-            .iter()
-            .map(|(model, r, class)| self.solve_cell(model, *r, class.clone()))
-            .collect()
     }
 
     fn lookup(&self, key: u64) -> Option<std::sync::Arc<SweepSolver>> {
@@ -1112,13 +1096,17 @@ mod tests {
         let reg = std::sync::Arc::new(xbar_obs::Registry::new());
         let _g = xbar_obs::scope(&reg);
         let grid = SweepGrid::new(Algorithm::Auto);
-        let batch = grid.solve_batch(&cells);
+        let pairs: Vec<(Model, usize)> = cells.iter().map(|(m, r, _)| (m.clone(), *r)).collect();
+        assert_eq!(grid.warm(&pairs), 4);
+        let batch: Vec<Solution> = cells
+            .iter()
+            .map(|(model, r, class)| grid.solve_cell(model, *r, class.clone()).unwrap())
+            .collect();
         assert_eq!(grid.len(), 4);
         let snap = reg.snapshot();
         assert_eq!(snap.counter("sweep.grid.build"), Some(4));
         let serial = SweepGrid::new(Algorithm::Auto);
         for (got, (model, r, class)) in batch.iter().zip(&cells) {
-            let got = got.as_ref().expect("batch cell failed");
             let want = serial.solve_cell(model, *r, class.clone()).unwrap();
             for k in 0..model.num_classes() {
                 assert_eq!(got.nonblocking(k).to_bits(), want.nonblocking(k).to_bits());

@@ -59,7 +59,8 @@ use std::time::{Duration, Instant};
 /// Version of the snapshot JSON schema (the `"schema"` field).
 ///
 /// Bump when the JSON shape changes incompatibly; consumers (CI artifact
-/// checks, `BENCH_N.json` readers) match on it.
+/// checks, the snapshots embedded in `BENCH_3.json`–`BENCH_10.json`)
+/// match on it.
 ///
 /// History: 1 = counters + histograms; 2 = adds the `"gauges"` object.
 pub const SNAPSHOT_SCHEMA: u32 = 2;

@@ -361,7 +361,7 @@ pub mod collection {
     use super::TestRng;
     use rand::Rng;
 
-    /// Admissible element counts for [`vec`]: a fixed count, `a..b`, or
+    /// Admissible element counts for [`vec()`]: a fixed count, `a..b`, or
     /// `a..=b`.
     #[derive(Clone, Copy, Debug)]
     pub struct SizeRange {

@@ -1,11 +1,12 @@
 //! Port-failure injection for the crossbar simulator.
 //!
 //! The analytic model assumes a perfect switch; real fabrics lose ports.
-//! This module adds a per-port fail/repair process to [`CrossbarSim`]
-//! (crate::crossbar): each working port fails at rate `fail_rate` and each
-//! failed port repairs at rate `repair_rate`, both with exponential holding
-//! times, so the whole fault process is memoryless and can be resampled
-//! every event like the arrival process. Ports can also be failed
+//! This module adds a per-port fail/repair process to
+//! [`CrossbarSim`](crate::crossbar::CrossbarSim): each working port fails
+//! at rate `fail_rate` and each failed port repairs at rate
+//! `repair_rate`, both with exponential holding times, so the whole fault
+//! process is memoryless and can be resampled every event like the
+//! arrival process. Ports can also be failed
 //! *statically* (down from `t = 0`, never repaired) — useful because a
 //! switch with `f1` inputs and `f2` outputs down, where requests touching a
 //! dead port are cleared, carries its surviving traffic exactly like a

@@ -1,7 +1,7 @@
 //! Batched, deterministic multi-replication simulation engine.
 //!
 //! Every statistical claim in this repo bottoms out in one of three
-//! simulators (the [`replay`](crate::replay) admission driver, the
+//! simulators (the [`replay`](crate::replay()) admission driver, the
 //! [`CrossbarSim`] recorder, the [`RetrialSim`] retrial queue). A single
 //! long run buys precision slowly — batch means over one autocorrelated
 //! path — and serially. This harness instead fans **N independent

@@ -33,7 +33,7 @@
 //! event core, [`events::Calendar`]: a clock, a calendar of scheduled
 //! events, and one step that races the arrival clock (and the crossbar's
 //! port-fault clock) against it. Each simulator supplies only its event
-//! handlers. [`replay`] is the exception: it drives the admission engine
+//! handlers. [`replay()`] is the exception: it drives the admission engine
 //! with an embedded jump chain counted in events, over the resident
 //! rates of [`RateTable`], and needs no clock. The [`harness`] runs
 //! replications of any of them through one replication loop.

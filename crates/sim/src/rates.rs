@@ -6,19 +6,22 @@
 //! an event only changes one class's rates, so [`RateTable`] keeps the
 //! vector resident and applies O(1) slot updates instead.
 //!
-//! Bit-compatibility is the design constraint: decisions must stay
-//! bit-identical to the legacy rebuild loops (proven by the differential
-//! proptest battery and the golden-stream tests). Two details follow:
+//! Bit-compatibility is the design constraint: the decision streams are
+//! pinned bit for bit by the golden-stream fingerprints
+//! (`tests/golden_streams.rs`), captured from the old rebuild loops. Two
+//! details keep them:
 //!
-//! - **Total.** The legacy loops fold the total in a fixed order
+//! - **Total.** The old loops folded the total in a fixed order
 //!   (`total += arr + dep` per class in the replay, `iter().sum()` in the
-//!   crossbar). Floating-point addition is not associative, so the table
-//!   *re-sums* the resident vector in exactly that fold order whenever a
-//!   slot changed since the last query — O(R) adds, but only on
-//!   state-changing events (blocked arrivals reuse the cached total), and
-//!   without the O(R) `lambda`/`permutation` recomputation the rebuild
-//!   paid. An incremental `total += delta` would drift bitwise.
-//! - **Selection.** The legacy subtractive scan (`if pick < rate; pick -=
+//!   crossbar); the `pairs` flag picks which. Floating-point addition is
+//!   not associative, so the table *re-sums* the resident vector in
+//!   exactly that fold order whenever a slot changed since the last
+//!   query — O(R) adds, but only on state-changing events (blocked
+//!   arrivals reuse the cached total), and without the O(R)
+//!   `lambda`/`permutation` recomputation a rebuild pays. An incremental
+//!   `total += delta`, or the other fold order, would drift bitwise and
+//!   move every pinned stream.
+//! - **Selection.** The subtractive scan (`if pick < rate; pick -=
 //!   rate`) is kept verbatim. It is O(R) per arrival, which is cheap at
 //!   every class count the workspace builds.
 
@@ -36,7 +39,7 @@ pub struct RateTable {
 
 impl RateTable {
     /// A table of `len` zero slots. `pairs` selects the total fold order
-    /// (see type docs); it must match the legacy loop being replaced.
+    /// (see the module docs); it must match the stream being pinned.
     pub fn new(len: usize, pairs: bool) -> Self {
         RateTable {
             rates: vec![0.0; len],
@@ -53,7 +56,7 @@ impl RateTable {
         self.dirty = true;
     }
 
-    /// Total rate, bit-identical to the legacy loop's fold over a freshly
+    /// Total rate, bit-identical to the old loops' fold over a freshly
     /// rebuilt vector.
     pub fn total(&mut self) -> f64 {
         if self.dirty {
@@ -80,7 +83,7 @@ impl RateTable {
         self.total
     }
 
-    /// Slot selected by `pick ∈ [0, total)`: the legacy subtractive scan,
+    /// Slot selected by `pick ∈ [0, total)`: the old subtractive scan,
     /// verbatim, including its last-slot fallback when `pick` survives
     /// the whole walk through accumulated rounding.
     pub fn select(&self, mut pick: f64) -> usize {

@@ -10,10 +10,9 @@
 //! (§3's `B_r` corrected by the arrival theorem), which the per-class
 //! admitted fraction is then cross-checked against.
 //!
-//! The admitted fraction is estimated with batch means
-//! ([`BatchMeans`](crate::stats::BatchMeans), 99% CI by default): jump
-//! chains are autocorrelated, so per-event binomial CIs would be
-//! dishonestly narrow.
+//! The admitted fraction is estimated with batch means ([`BatchMeans`],
+//! 99% CI by default): jump chains are autocorrelated, so per-event
+//! binomial CIs would be dishonestly narrow.
 
 use std::time::Instant;
 
@@ -145,10 +144,11 @@ fn finish(
 /// [`RateTable`]: an event only changes class `r`'s two rates (and a
 /// blocked arrival changes nothing), so each iteration does O(1) rate
 /// maintenance instead of rebuilding and rescanning the whole vector.
-/// Decisions are bit-identical to [`replay_legacy`] — the table re-sums
-/// the total in the legacy fold order and keeps the legacy subtractive
-/// selection scan (see [`crate::rates`]); the differential proptest
-/// battery and the golden-stream tests pin this.
+/// The golden-stream fingerprints in `tests/golden_streams.rs` pin the
+/// decision stream bit for bit (see [`crate::rates`] for the fold order
+/// that keeps it), and a test checks each class's replayed acceptance
+/// against the exact stationary chain
+/// ([`xbar_core::policy::solve_policy`]) under the engine's thresholds.
 pub fn replay(model: &Model, cfg: &ReplayConfig) -> Result<ReplayReport, AdmissionError> {
     let analytic = solve_cached(model, cfg.engine.algorithm).map_err(AdmissionError::Solve)?;
     let mut engine = AdmissionEngine::new(model, cfg.engine.clone())?;
@@ -228,93 +228,6 @@ pub fn replay(model: &Model, cfg: &ReplayConfig) -> Result<ReplayReport, Admissi
 
     engine.flush_obs();
     if xbar_obs::enabled() {
-        xbar_obs::add("replay.events", arrivals + departures);
-    }
-    Ok(finish(
-        &engine,
-        &analytic,
-        &batch_counts,
-        arrivals,
-        departures,
-    ))
-}
-
-/// The pre-optimisation replay loop, kept verbatim as the differential
-/// oracle for the [`replay`] hot path: it rebuilds all `2R` rates and
-/// rescans linearly every event. Retained (not test-gated) so the
-/// proptest battery in `crates/sim/tests/harness_proptests.rs` can prove
-/// decision-for-decision equivalence, and so the perf trajectory's
-/// `sim/events-per-sec-scalar` record can time the rewrite against it.
-/// Not part of the supported API surface.
-#[doc(hidden)]
-pub fn replay_legacy(model: &Model, cfg: &ReplayConfig) -> Result<ReplayReport, AdmissionError> {
-    let analytic = solve_cached(model, cfg.engine.algorithm).map_err(AdmissionError::Solve)?;
-    let mut engine = AdmissionEngine::new(model, cfg.engine.clone())?;
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let classes = model.workload().classes();
-    let r_count = classes.len();
-    let tuple_count = tuple_counts(model);
-    let batches = cfg.batches.max(1);
-    let mut batch_counts = vec![vec![(0u64, 0u64); r_count]; batches];
-    let mut rates = vec![0.0f64; 2 * r_count];
-    let mut arrivals = 0u64;
-    let mut departures = 0u64;
-    let obs = xbar_obs::enabled();
-
-    for i in 0..cfg.events {
-        let k = engine.state();
-        let mut total = 0.0;
-        for r in 0..r_count {
-            let arr = tuple_count[r] * classes[r].lambda(k[r] as u64);
-            let dep = k[r] as f64 * classes[r].mu;
-            rates[2 * r] = arr;
-            rates[2 * r + 1] = dep;
-            total += arr + dep;
-        }
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-        if !(total > 0.0) {
-            break;
-        }
-        let mut pick = rng.gen::<f64>() * total;
-        let mut chosen = 2 * r_count - 1;
-        for (j, &rate) in rates.iter().enumerate() {
-            if pick < rate {
-                chosen = j;
-                break;
-            }
-            pick -= rate;
-        }
-        let (r, is_arrival) = (chosen / 2, chosen.is_multiple_of(2));
-        let batch = ((i * batches as u64) / cfg.events) as usize;
-        if is_arrival {
-            arrivals += 1;
-            batch_counts[batch][r].0 += 1;
-            let tuple_idle = rng.gen::<f64>() < engine.availability(r);
-            let timer = (obs && i.is_multiple_of(64)).then(Instant::now);
-            let admitted = if tuple_idle {
-                engine.offer(r)? == Decision::Admit
-            } else {
-                engine.record_blocked(r)?;
-                false
-            };
-            if let Some(t) = timer {
-                xbar_obs::record_duration("admission.decision", t.elapsed());
-            }
-            if admitted {
-                batch_counts[batch][r].1 += 1;
-            }
-        } else {
-            departures += 1;
-            let timer = (obs && i.is_multiple_of(64)).then(Instant::now);
-            engine.depart(r)?;
-            if let Some(t) = timer {
-                xbar_obs::record_duration("admission.decision", t.elapsed());
-            }
-        }
-    }
-
-    engine.flush_obs();
-    if obs {
         xbar_obs::add("replay.events", arrivals + departures);
     }
     Ok(finish(
@@ -441,26 +354,78 @@ mod tests {
     }
 
     #[test]
-    fn incremental_loop_matches_legacy_bit_for_bit() {
-        for (policy, seed) in [
-            (PolicySpec::CompleteSharing, 9u64),
-            (PolicySpec::TrunkReservation(vec![0, 3]), 77),
-            (PolicySpec::ShadowPrice { reserve: 1 }, 11),
-        ] {
-            let cfg = ReplayConfig {
-                events: 30_000,
-                seed,
-                batches: 20,
-                engine: EngineConfig {
-                    policy: policy.clone(),
-                    ..EngineConfig::default()
-                },
+    fn replayed_acceptance_matches_the_exact_policy_chain() {
+        // The jump chain against the model: under each policy's effective
+        // thresholds, every class's batch-means acceptance CI must cover
+        // the exact stationary acceptance of the reserved loss network,
+        // which `solve_policy` computes by power iteration over the
+        // enumerated states and which shares no code with the replay,
+        // its rate table or the engine. Fixed models and seeds; the
+        // slack absorbs the few 99% intervals out of 45 that may miss by
+        // chance. Low weights on the bursty classes make the shadow
+        // policy reserve against them.
+        let two_class = Model::new(
+            Dims::new(6, 8),
+            Workload::new()
+                .with(TrafficClass::poisson(0.1))
+                .with(TrafficClass::bpp(0.08, 0.04, 1.0).with_weight(0.05)),
+        )
+        .unwrap();
+        let three_class = Model::new(
+            Dims::new(5, 6),
+            Workload::new()
+                .with(TrafficClass::poisson(0.06))
+                .with(TrafficClass::bpp(0.05, 0.03, 1.0).with_weight(0.5))
+                .with(
+                    TrafficClass::bpp(0.003, 0.002, 1.0)
+                        .with_bandwidth(2)
+                        .with_weight(0.02),
+                ),
+        )
+        .unwrap();
+        let cases = [
+            (two_class, PolicySpec::TrunkReservation(vec![0, 2])),
+            (three_class, PolicySpec::TrunkReservation(vec![1, 0, 0])),
+        ];
+        for (m, policy) in cases.iter().flat_map(|(m, trunk)| {
+            [
+                (m, PolicySpec::CompleteSharing),
+                (m, trunk.clone()),
+                (m, PolicySpec::ShadowPrice { reserve: 1 }),
+            ]
+        }) {
+            let engine = EngineConfig {
+                policy: policy.clone(),
+                ..EngineConfig::default()
             };
-            let new = replay(&model(), &cfg).unwrap();
-            let old = replay_legacy(&model(), &cfg).unwrap();
-            assert_eq!(new.arrivals, old.arrivals, "{policy}");
-            assert_eq!(new.departures, old.departures, "{policy}");
-            assert_eq!(fingerprint(&new), fingerprint(&old), "{policy}");
+            let thresholds = AdmissionEngine::new(m, engine.clone())
+                .unwrap()
+                .thresholds()
+                .to_vec();
+            // Every policy but complete sharing reserves something here.
+            assert_eq!(
+                thresholds.iter().all(|&t| t == 0),
+                policy == PolicySpec::CompleteSharing,
+                "{policy}: {thresholds:?}"
+            );
+            let exact = xbar_core::policy::solve_policy(m, &thresholds);
+            for seed in [3u64, 17, 2024] {
+                let cfg = ReplayConfig {
+                    events: 200_000,
+                    seed,
+                    batches: 20,
+                    engine: engine.clone(),
+                };
+                let rep = replay(m, &cfg).unwrap();
+                for (r, c) in rep.classes.iter().enumerate() {
+                    assert!(
+                        c.acceptance.covers_with_slack(exact.acceptance[r], 2e-3),
+                        "{policy} {thresholds:?} seed {seed} class {r}: replay {:?} vs exact {}",
+                        c.acceptance,
+                        exact.acceptance[r]
+                    );
+                }
+            }
         }
     }
 

@@ -1,11 +1,13 @@
 //! Golden event-stream fingerprints pinning the simulator loops.
 //!
-//! These counters and f64 bit patterns were captured from the legacy
-//! rebuild-every-event loops (pre-PR 10) at fixed seeds. The incremental
-//! loops must reproduce them *bit for bit*: the resident rate table
-//! re-sums totals in the legacy fold order and keeps the legacy
-//! subtractive selection scan, so any divergence here means the
-//! bit-compatibility contract in `crates/sim/src/rates.rs` broke.
+//! These counters and f64 bit patterns were captured at fixed seeds
+//! from the rebuild-every-event loops the crossbar and replay had before
+//! their rate table. The current loops must reproduce them *bit for
+//! bit*: the resident rate table re-sums totals in that fold order and
+//! keeps the subtractive selection scan, so any divergence here means
+//! the fold-order contract in `crates/sim/src/rates.rs` broke. Nothing
+//! else pins the replay's bits; whether its chain is the right chain is
+//! checked against the exact stationary distribution in `replay.rs`.
 //!
 //! The faulted-crossbar and retrial fingerprints were captured from the
 //! hand-written event loops these simulators had before they shared the
@@ -73,7 +75,7 @@ fn crossbar_streams_match_the_legacy_loop_bit_for_bit() {
 }
 
 #[test]
-fn replay_streams_match_the_legacy_loop_bit_for_bit() {
+fn replay_streams_are_pinned_bit_for_bit() {
     let w = Workload::new()
         .with(TrafficClass::poisson(0.1))
         .with(TrafficClass::bpp(0.08, 0.04, 1.0));
