@@ -9,8 +9,7 @@
 //!   batched *anchor* solves: deduplicate identical models up front,
 //!   shard the misses over [`crate::parallel::run_scoped`] workers that
 //!   steal whole models from a shared queue, and return results in
-//!   input order. This is what the serve daemon's coalesced re-anchors
-//!   and the CLI `xbar fleet` command call.
+//!   input order. This is what the CLI `xbar fleet` command calls.
 //! * [`sweep_many`] — batched *sweep* precomputes: one owned
 //!   [`SweepSolver`] per model, built on the same sharded pool. The
 //!   figure drivers, per-anchor repricing solvers and
@@ -82,8 +81,8 @@ pub(crate) fn shard_map<T: Send>(n: usize, f: impl Fn(usize) -> T + Sync) -> Vec
         .collect()
 }
 
-/// Batched [`solve_cached`](crate::solve_cached): solve every model in
-/// `models` as one fleet through the process-wide cache. See
+/// Batched [`solve`](crate::solve): solve every model in `models` as one
+/// fleet through the process-wide cache. See
 /// [`SolveCache::solve_fleet`](crate::SolveCache::solve_fleet).
 pub fn solve_fleet(
     models: &[Model],

@@ -44,9 +44,8 @@
 //!   of [`sweep`] (the classes installed once along `(N1 − d, N2 − d)`,
 //!   all the measures read) and whose explicit requests run one backend
 //!   (Algorithm 1 in any of its three, Algorithm 2 or 3); its
-//!   [`solver::resilient`] submodule adds a fault-tolerant pipeline that
-//!   escalates through backends on failure and cross-checks the winner
-//!   against an independent algorithm.
+//!   [`solver::cross_check`] submodule checks an `Auto` solve against an
+//!   independent recursion (Algorithm 3, or Algorithm 2 beyond `N = 64`).
 //! * [`approx`] — the classical reduced-load (Erlang fixed-point)
 //!   approximation, as the cheap baseline the exact analysis improves on.
 //! * [`transient`] — uniformisation-based transient analysis `π(t)` for
@@ -109,7 +108,7 @@ pub use fleet::{solve_fleet, sweep_many};
 pub use measures::{ClassMeasures, SwitchMeasures};
 pub use model::{Dims, Model, ModelError};
 pub use sensitivity::{sensitivity, sensitivity_from, Sensitivity};
-pub use solver::resilient::{solve_resilient, ResilientConfig, ResilientSolution, SolveReport};
-pub use solver::{solve, solve_cached, Algorithm, Solution, SolveCache, SolveError};
+pub use solver::cross_check::solve_cross_checked;
+pub use solver::{solve, Algorithm, Solution, SolveCache, SolveError};
 pub use state::StateIter;
 pub use sweep::{SweepGradients, SweepGrid, SweepSolver};

@@ -64,8 +64,8 @@ impl SwitchMeasures {
     /// Run every measure through the numeric guards: probabilities must be
     /// finite and in `[0, 1]` (up to round-off slack), concurrencies and
     /// throughputs finite and non-negative, revenue finite. A violation
-    /// identifies the quantity and value, so the resilient solver can
-    /// classify the backend failure and escalate.
+    /// identifies the quantity and value, so a solve can name the failing
+    /// backend and the measure it broke.
     pub fn validate(&self) -> Result<(), GuardError> {
         for (r, c) in self.classes.iter().enumerate() {
             checked_prob(&format!("nonblocking[{r}]"), c.nonblocking)?;

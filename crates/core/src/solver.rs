@@ -3,20 +3,19 @@
 //! [`Solution`] type — for a full solve and for a
 //! [`SweepSolver`](crate::SweepSolver) point alike.
 //!
-//! For fault tolerance across backends — automatic escalation when a
-//! fixed-precision backend fails, plus cross-algorithm self-verification —
-//! see the [`resilient`] submodule.
+//! To check an `Auto` solve against an independent recursion, see the
+//! [`cross_check`] submodule.
 
 pub mod cache;
-pub mod resilient;
+pub mod cross_check;
 
-pub use cache::{solve_cached, SolveCache};
+pub use cache::SolveCache;
 
 use std::fmt;
 
 use xbar_numeric::{forward_diff, ExtFloat, GuardError};
 
-use self::resilient::{CrossCheckFailure, SolveReport};
+use self::cross_check::CrossCheckFailure;
 
 use crate::alg1::{QLattice, QRatio, ScaledQLattice};
 use crate::alg2::Mva;
@@ -83,10 +82,7 @@ pub enum SolveError {
         /// Which quantity was rejected and why.
         source: GuardError,
     },
-    /// Every backend in a resilient escalation chain failed; the report
-    /// records each attempt and its cause.
-    Exhausted(SolveReport),
-    /// The winning backend and the independent cross-check algorithm
+    /// The `Auto` solve and the independent cross-check algorithm
     /// disagree beyond tolerance; the payload carries both answers.
     CrossCheckFailed(Box<CrossCheckFailure>),
 }
@@ -104,9 +100,6 @@ impl fmt::Display for SolveError {
                     f,
                     "backend {algorithm} produced an invalid measure: {source}"
                 )
-            }
-            SolveError::Exhausted(report) => {
-                write!(f, "all backends failed: {}", report.summary())
             }
             SolveError::CrossCheckFailed(failure) => write!(f, "{failure}"),
         }

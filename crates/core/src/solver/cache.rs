@@ -1,16 +1,13 @@
 //! Memoizing solve engine: a keyed LRU of finished [`Solution`]s plus a
 //! work-stealing batch front-end.
 //!
-//! A full solve sits behind every figure anchor, replay cross-check and
-//! resilient escalation, and many callers re-solve the *same* model: forward-difference
-//! gradients solve the base point twice, `solve_resilient` cross-checks
-//! re-enter `solve`, and experiment drivers anchor several series on one
-//! shared configuration. [`SolveCache`] memoizes by a canonicalised model
-//! fingerprint so those repeats cost a hash lookup instead of a ray
-//! build or a lattice sweep; [`SolveCache::solve_fleet`] fans a slice of models
-//! out over a [`crossbeam::queue::SegQueue`] work pool (work-stealing, so
-//! unbalanced sweeps with large-`N` tails no longer serialise on the
-//! slowest chunk).
+//! Fleet batches repeat models: a models file, a design grid or an
+//! experiment's anchor set often names one configuration several times.
+//! [`SolveCache`] memoizes by a canonicalised model fingerprint so those
+//! repeats cost a hash lookup instead of a ray build or a lattice sweep;
+//! [`SolveCache::solve_fleet`] fans a slice of models out over a
+//! [`crossbeam::queue::SegQueue`] work pool (work-stealing, so unbalanced
+//! sweeps with large-`N` tails no longer serialise on the slowest chunk).
 //!
 //! # Cache-key canonicalisation
 //!
@@ -90,8 +87,8 @@ pub struct CacheStats {
 ///
 /// Entries are `Arc<Solution>`, so a hit is a pointer clone — callers on
 /// different threads share one lattice. Failed solves are *not* cached:
-/// errors are cheap to reproduce and callers typically escalate to a
-/// different backend immediately anyway.
+/// errors are cheap to reproduce (a fixed-precision lattice reports its
+/// underflow as soon as the sweep ends).
 ///
 /// The store is a mutexed most-recently-used-first vector rather than a
 /// hash map: capacities are small (tens of entries — each large lattice is
@@ -229,26 +226,17 @@ impl SolveCache {
     }
 }
 
-/// Capacity of the process-wide cache behind [`solve_cached`]. Sized for
-/// sweep working sets (escalation chains, gradients, repeated anchors)
-/// while bounding worst-case memory: a `513 × 513` extended-range lattice
-/// is ~4 MB, so the ceiling is a few hundred MB of solutions even if every
-/// entry is maximal.
+/// Capacity of the process-wide cache behind [`crate::solve_fleet`].
+/// Sized for a fleet's working set of repeated models while bounding
+/// worst-case memory: an `Auto` solution holds one diagonal ray, and even
+/// an explicit `513 × 513` extended-range lattice is ~4 MB, so the ceiling
+/// is a few hundred MB of solutions if every entry is maximal.
 pub const GLOBAL_CACHE_CAPACITY: usize = 64;
 
-/// The process-wide [`SolveCache`] used by [`solve_cached`],
-/// [`crate::solve_fleet`], and the resilient pipeline.
+/// The process-wide [`SolveCache`] used by [`crate::solve_fleet`].
 pub fn global_cache() -> &'static SolveCache {
     static GLOBAL: OnceLock<SolveCache> = OnceLock::new();
     GLOBAL.get_or_init(|| SolveCache::new(GLOBAL_CACHE_CAPACITY))
-}
-
-/// [`solve`], memoized through the process-wide cache. Semantically
-/// identical to `solve` (same measures, same `Solution::algorithm`); the
-/// only observable difference is sharing: repeated calls return the same
-/// `Arc`.
-pub fn solve_cached(model: &Model, algorithm: Algorithm) -> Result<Arc<Solution>, SolveError> {
-    global_cache().get_or_solve(model, algorithm)
 }
 
 #[cfg(test)]

@@ -1,11 +1,11 @@
-//! The obs counters emitted by the solve cache and the resilient
-//! escalation pipeline are part of the public contract (`xbar --metrics`
-//! serialises them), so their exact semantics are pinned here with scoped
+//! The obs counters emitted by the solve cache and the cross-checked
+//! solve are part of the public contract (`xbar --metrics` serialises
+//! them), so their exact semantics are pinned here with scoped
 //! registries — the global registry is shared across parallel tests.
 
 use std::sync::Arc;
 
-use xbar_core::{solve_resilient, Algorithm, Dims, Model, ResilientConfig, SolveCache};
+use xbar_core::{solve_cross_checked, Algorithm, Dims, Model, SolveCache};
 use xbar_traffic::{TrafficClass, Workload};
 
 fn small_model(rho: f64) -> Model {
@@ -73,9 +73,7 @@ fn cache_counts_negative_zero_canonicalisations() {
 
 #[test]
 fn resilient_escalation_counters_record_the_failure_chain() {
-    // N = 200 at tiny load underflows the plain-f64 lattice, so the
-    // default chain must escalate at least once and then agree with the
-    // cross-checker.
+    // A cross-checked solve at N = 200 is checked against MVA.
     let model = Model::new(
         Dims::square(200),
         Workload::new().with(TrafficClass::poisson(1e-5)),
@@ -84,27 +82,33 @@ fn resilient_escalation_counters_record_the_failure_chain() {
     let reg = Arc::new(xbar_obs::Registry::new());
     {
         let _g = xbar_obs::scope(&reg);
-        solve_resilient(&model, &ResilientConfig::default()).expect("resilient solve succeeds");
+        solve_cross_checked(&model, 1e-9).expect("cross-checked solve succeeds");
     }
     let snap = reg.snapshot();
-    let attempts = snap.counter("solver.attempts").unwrap_or(0);
-    let escalations = snap.counter("solver.escalations").unwrap_or(0);
-    assert!(attempts >= 2, "attempts {attempts}");
-    assert_eq!(escalations, attempts - 1);
-    assert!(snap.counter("solver.failure.underflow").unwrap_or(0) >= 1);
-    assert_eq!(snap.counter("solver.exhausted"), None);
-    assert_eq!(snap.counter("solver.cross_check.agreed"), Some(1));
-    assert_eq!(snap.counter("solver.cross_check.disagreed"), None);
-    // The winner/checker gap was sampled once, and each attempt has a span.
+    // Exactly two solves, Auto and its checker, and one agreement: no
+    // attempt, escalation or failure counters.
+    let solver: Vec<(&str, u64)> = snap
+        .counters
+        .iter()
+        .filter(|(name, _)| name.starts_with("solver."))
+        .map(|(name, n)| (name.as_str(), *n))
+        .collect();
+    assert_eq!(
+        solver,
+        [
+            ("solver.cross_check.agreed", 1),
+            ("solver.solve", 2),
+            ("solver.solve.alg2-mva", 1),
+            ("solver.solve.auto", 1),
+        ]
+    );
+    // The gap was sampled once, and no solve has a per-attempt span.
     assert_eq!(
         snap.histogram("solver.cross_check.gap").map(|h| h.count),
         Some(1)
     );
-    let span_count: u64 = snap
+    assert!(snap
         .histograms
         .iter()
-        .filter(|(name, _)| name.starts_with("span.solver.attempt."))
-        .map(|(_, h)| h.count)
-        .sum();
-    assert_eq!(span_count, attempts);
+        .all(|(name, _)| !name.starts_with("span.solver.")));
 }

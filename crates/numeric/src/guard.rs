@@ -3,9 +3,9 @@
 //! The Q-lattice recursions fail in characteristic ways — cells underflow
 //! to zero, ratios of underflowed cells become `NaN`, and accumulated
 //! round-off can push a probability slightly outside `[0, 1]`. Upstream
-//! code historically surfaced these as nonsense measures; the resilient
-//! solve pipeline instead runs every computed measure through these guards
-//! and treats a violation as a backend failure worth escalating past.
+//! code historically surfaced these as nonsense measures; every solve
+//! instead runs its computed measures through these guards and reports a
+//! violation as a typed backend failure.
 
 use std::fmt;
 

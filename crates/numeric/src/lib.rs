@@ -20,7 +20,7 @@
 //! for the paper's numerically-approximated revenue gradients (§4), and
 //! numeric guards ([`guard`]) that classify the characteristic failure
 //! modes of fixed-precision backends (underflow, `NaN` ratios, probability
-//! drift) for the resilient solve pipeline.
+//! drift), so a solve reports a broken backend as a typed error.
 
 pub mod diff;
 pub mod extfloat;

@@ -19,7 +19,7 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use xbar_admission::{AdmissionEngine, AdmissionError, Decision, EngineConfig};
-use xbar_core::{solve_cached, Model, Solution};
+use xbar_core::{solve, Model, Solution};
 use xbar_numeric::permutation;
 
 use crate::rates::RateTable;
@@ -150,7 +150,7 @@ fn finish(
 /// against the exact stationary chain
 /// ([`xbar_core::policy::solve_policy`]) under the engine's thresholds.
 pub fn replay(model: &Model, cfg: &ReplayConfig) -> Result<ReplayReport, AdmissionError> {
-    let analytic = solve_cached(model, cfg.engine.algorithm).map_err(AdmissionError::Solve)?;
+    let analytic = solve(model, cfg.engine.algorithm).map_err(AdmissionError::Solve)?;
     let mut engine = AdmissionEngine::new(model, cfg.engine.clone())?;
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let classes = model.workload().classes();

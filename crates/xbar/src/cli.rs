@@ -9,8 +9,8 @@
 //! |------|---------------------------------------------------|
 //! | 0    | success                                           |
 //! | 2    | usage or model error (bad flags, invalid classes) |
-//! | 3    | solve failure (all backends exhausted, …)         |
-//! | 4    | cross-check failure (backends disagree)           |
+//! | 3    | solve failure (backend under/overflow, …)         |
+//! | 4    | cross-check failure (two answers disagree)        |
 //! | 5    | simulator configuration error                     |
 //! | 6    | metrics failure (broken invariant, unwritable)    |
 //! | 7    | serve: tenant(s) quarantined after repeated faults|
@@ -19,8 +19,7 @@
 use std::time::Duration;
 
 use xbar_admission::{AdmissionEngine, AdmissionError, EngineConfig, PolicySpec};
-use xbar_core::solver::resilient::{solve_resilient, ResilientConfig};
-use xbar_core::{solve, Algorithm, Dims, Model, SolveError, SweepSolver};
+use xbar_core::{solve, solve_cross_checked, Algorithm, Dims, Model, SolveError, SweepSolver};
 use xbar_plan::{DesignSpace, PlanConfig, PlanError, RhoAxis, Slo};
 use xbar_sim::{
     replay, run_sim_replications, Confidence, CrossbarSim, FaultConfig, RepConfig, ReplayConfig,
@@ -35,7 +34,9 @@ pub enum CliError {
     Usage(String),
     /// The analytic solve failed (exit 3).
     Solve(String),
-    /// The resilient pipeline's cross-check disagreed (exit 4).
+    /// A cross-check disagreed (exit 4): `solve --cross-check`'s `auto`
+    /// solve and its independent checker, or `admit --cross-check`'s
+    /// replayed and analytic acceptance.
     CrossCheck(String),
     /// The simulator rejected its configuration (exit 5).
     SimConfig(String),
@@ -87,7 +88,7 @@ impl std::error::Error for CliError {}
 fn usage() -> String {
     "usage:\n  xbar solve --n <N> | --n1 <N1> --n2 <N2> \
      [--algorithm auto|alg1-f64|alg1-scaled|alg1-ext|alg2-mva|alg3-convolution] \
-     [--resilient] [--cross-check-tol <tol>] [--threads <N>] [--metrics <path|->] \
+     [--cross-check [--cross-check-tol <tol>]] [--threads <N>] [--metrics <path|->] \
      --class <spec> [--class <spec> ...]\n  \
      xbar sim   --n <N> | --n1 <N1> --n2 <N2> --class <spec> [...] \
      [--duration <t>] [--warmup <t>] [--seed <u64>] [--replications <n>] \
@@ -115,6 +116,9 @@ fn usage() -> String {
      [--slo <r:maxblock> ...] [--strategy exhaustive|gradient] \
      [--objective w] [--frontier-csv <path>] [--contour-csv <path>] \
      [--threads <N>] [--metrics <path|->]\n\n\
+     solve --cross-check re-solves the auto answer through an independent \
+     recursion (alg3-convolution up to N = 64, alg2-mva above) and exits 4 \
+     if any measure differs by more than --cross-check-tol (default 1e-9)\n\
      sweep varies class r's per-set arrival intercept alpha across the grid \
      through one cached SweepSolver precompute (each point is an O(N) \
      recombination, not a fresh solve)\n\
@@ -228,9 +232,7 @@ pub struct Args {
     pub n2: u32,
     /// Analytic algorithm (for plain `solve`).
     pub algorithm: Algorithm,
-    /// Use the resilient escalation + cross-check pipeline.
-    pub resilient: bool,
-    /// Cross-check relative tolerance override (resilient mode).
+    /// `solve --cross-check` relative tolerance override.
     pub cross_check_tol: Option<f64>,
     /// Solver thread count (`0` = auto via `available_parallelism`).
     pub threads: usize,
@@ -264,8 +266,9 @@ pub struct Args {
     pub trace: Option<String>,
     /// Synthetic events to generate (for `admit` without `--trace`).
     pub replay_events: u64,
-    /// Assert replay acceptance against the analytic value (exit 4 on
-    /// disagreement; complete-sharing policy only).
+    /// `solve`: check the `auto` solve against an independent recursion.
+    /// `admit`: assert replay acceptance against the analytic value
+    /// (complete-sharing policy only). Exit 4 on disagreement.
     pub cross_check: bool,
     /// Which class the `sweep` command varies.
     pub sweep_class: usize,
@@ -422,7 +425,6 @@ pub fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut n1 = None;
     let mut n2 = None;
     let mut algorithm = Algorithm::Auto;
-    let mut resilient = false;
     let mut cross_check_tol = None;
     let mut threads = 0usize;
     let mut metrics = None;
@@ -473,7 +475,6 @@ pub fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--n1" => n1 = Some(value()?.parse().map_err(|e| format!("--n1: {e}"))?),
             "--n2" => n2 = Some(value()?.parse().map_err(|e| format!("--n2: {e}"))?),
             "--algorithm" => algorithm = parse_algorithm(&value()?)?,
-            "--resilient" => resilient = true,
             "--cross-check-tol" => {
                 let v: f64 = value()?
                     .parse()
@@ -697,7 +698,6 @@ pub fn parse_args(argv: &[String]) -> Result<Args, String> {
         n1,
         n2,
         algorithm,
-        resilient,
         cross_check_tol,
         threads,
         metrics,
@@ -848,21 +848,26 @@ fn print_solution_table(args: &Args, model: &Model, sol: &xbar_core::Solution) {
     }
 }
 
+/// `solve --cross-check`'s tolerance when `--cross-check-tol` is not given.
+const DEFAULT_CROSS_CHECK_TOL: f64 = 1e-9;
+
 /// Execute the `solve` command.
 pub fn run_solve(args: &Args) -> Result<(), CliError> {
     let model = build_model(args).map_err(CliError::Usage)?;
-    if args.resilient {
-        let mut config = ResilientConfig::new();
-        if let Some(tol) = args.cross_check_tol {
-            config = config.with_cross_check_tol(tol);
+    if args.cross_check {
+        if args.algorithm != Algorithm::Auto {
+            return Err(CliError::Usage(
+                "--cross-check checks the auto solve; drop --algorithm".into(),
+            ));
         }
-        let resilient = solve_resilient(&model, &config).map_err(|e| match &e {
+        let tol = args.cross_check_tol.unwrap_or(DEFAULT_CROSS_CHECK_TOL);
+        let (sol, check) = solve_cross_checked(&model, tol).map_err(|e| match &e {
             SolveError::CrossCheckFailed(_) => CliError::CrossCheck(e.to_string()),
             SolveError::Model(_) => CliError::Usage(e.to_string()),
             _ => CliError::Solve(e.to_string()),
         })?;
-        println!("pipeline: {}", resilient.report.summary());
-        print_solution_table(args, &model, &resilient.solution);
+        println!("{check}");
+        print_solution_table(args, &model, &sol);
     } else {
         let sol = solve(&model, args.algorithm).map_err(|e| match &e {
             SolveError::Model(_) => CliError::Usage(e.to_string()),
@@ -1641,16 +1646,16 @@ mod tests {
         assert_eq!((a.n1, a.n2), (16, 16));
         assert_eq!(a.algorithm, Algorithm::Mva);
         assert_eq!(a.classes.len(), 1);
-        assert!(!a.resilient);
+        assert!(!a.cross_check);
     }
 
     #[test]
     fn parses_resilient_flags() {
         let a = parse_args(&argv(
-            "solve --n 200 --resilient --cross-check-tol 1e-9 --class poisson:rho=1e-5",
+            "solve --n 200 --cross-check --cross-check-tol 1e-9 --class poisson:rho=1e-5",
         ))
         .unwrap();
-        assert!(a.resilient);
+        assert!(a.cross_check);
         assert_eq!(a.cross_check_tol, Some(1e-9));
     }
 
@@ -1737,13 +1742,36 @@ mod tests {
 
     #[test]
     fn resilient_solve_runs_end_to_end() {
-        // N = 200 forces the f64 backend to underflow; the pipeline must
-        // escalate and still succeed (exit path: Ok).
+        // N = 200 is checked against MVA; the two agree (exit path: Ok).
         let a = parse_args(&argv(
-            "solve --n 200 --resilient --cross-check-tol 1e-9 --class poisson:rho=1e-5",
+            "solve --n 200 --cross-check --cross-check-tol 1e-9 --class poisson:rho=1e-5",
         ))
         .unwrap();
         assert!(run_solve(&a).is_ok());
+    }
+
+    #[test]
+    fn cross_check_disagreement_exits_4() {
+        // No two floating-point recursions agree to 1e-18.
+        let a = parse_args(&argv(
+            "solve --n 12 --cross-check --cross-check-tol 1e-18 \
+             --class poisson:rho=0.3 --class bpp:alpha=0.2,beta=0.08",
+        ))
+        .unwrap();
+        let err = run_solve(&a).unwrap_err();
+        assert_eq!(err.exit_code(), 4, "{err}");
+        let msg = err.to_string();
+        assert!(
+            msg.contains("auto") && msg.contains("alg3-convolution"),
+            "{msg}"
+        );
+        // The check is of the auto solve; an explicit algorithm is a usage
+        // error rather than silently ignored.
+        let b = parse_args(&argv(
+            "solve --n 12 --cross-check --algorithm alg1-ext --class poisson:rho=0.3",
+        ))
+        .unwrap();
+        assert_eq!(run_solve(&b).unwrap_err().exit_code(), 2);
     }
 
     #[test]

@@ -55,8 +55,7 @@ pub use xbar_sim as sim;
 pub use xbar_traffic as traffic;
 
 pub use xbar_core::{
-    solve, solve_resilient, Algorithm, Dims, Model, ModelError, ResilientConfig, ResilientSolution,
-    Solution, SolveReport, SwitchMeasures,
+    solve, solve_cross_checked, Algorithm, Dims, Model, ModelError, Solution, SwitchMeasures,
 };
 pub use xbar_sim::{
     run_replications, run_sim_replications, run_sim_until_ci, run_until_ci, CiTarget, CrossbarSim,

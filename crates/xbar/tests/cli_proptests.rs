@@ -17,7 +17,7 @@ fn arb_token() -> impl Strategy<Value = String> {
         Just("--n2".to_string()),
         Just("--class".to_string()),
         Just("--algorithm".to_string()),
-        Just("--resilient".to_string()),
+        Just("--cross-check".to_string()),
         Just("--cross-check-tol".to_string()),
         Just("--duration".to_string()),
         Just("--warmup".to_string()),
