@@ -154,7 +154,8 @@ pub struct EngineConfig {
     /// The admission policy.
     pub policy: PolicySpec,
     /// Backend of the shadow policy's pricing gradients (and of the
-    /// analytic acceptance a replay checks against). MVA by default.
+    /// analytic acceptance a replay checks against). `Auto` by default:
+    /// scaled `f64` rays, extended range only where they are unhealthy.
     pub algorithm: Algorithm,
     /// Events between exact drift checks of the incremental log-weight
     /// (`0` disables periodic checks; [`AdmissionEngine::re_anchor`]
@@ -184,7 +185,7 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             policy: PolicySpec::CompleteSharing,
-            algorithm: Algorithm::Mva,
+            algorithm: Algorithm::Auto,
             check_interval: 4096,
             drift_tol: 1e-9,
             reprice_batch: None,

@@ -1,5 +1,6 @@
 //! Throughput of the serve daemon's durable ingest path (parse, dedupe,
-//! engine decision, WAL append per line) across fleet sizes. This is
+//! engine decision, WAL append per line, one commit at the end) across
+//! fleet sizes. This is
 //! the cost of fault tolerance — compare against the bare engine numbers
 //! in `admission.rs` to see what the WAL and supervision layers add.
 
@@ -55,7 +56,9 @@ fn bench_ingest(c: &mut Criterion) {
                 for line in &lines {
                     daemon.ingest_line(line).expect("ingest");
                 }
-                black_box(daemon.drain().expect("drain"))
+                let applied = daemon.drain().expect("drain");
+                daemon.commit().expect("commit");
+                black_box(applied)
             });
             let _ = std::fs::remove_dir_all(&base);
         });
@@ -87,8 +90,10 @@ fn bench_recovery(c: &mut Criterion) {
             daemon.ingest_line(line).expect("ingest");
         }
         daemon.drain().expect("drain");
-        // Dropped without shutdown: recovery below replays the WAL tail
-        // past whatever snapshots the cadence wrote.
+        daemon.commit().expect("commit");
+        // Dropped without shutdown, after the commit point: recovery
+        // below replays the WAL tail past whatever snapshots the cadence
+        // wrote.
     }
     g.throughput(Throughput::Elements(LINES as u64));
     g.bench_function("reopen_20k_wal", |b| {

@@ -56,10 +56,20 @@
 //! depends on that order: a tenant's decisions and WAL depend only on its
 //! own event order, which its queue keeps, and the file, tail and socket
 //! runtimes pump after every line, so at most one tenant is ready at a
-//! time and a `kill_after` point falls on the same event. When
-//! [`Daemon::pump`] returns, every event it applied has its WAL frame
-//! written to the OS (one `write_all` per record), so a process crash
-//! keeps all of them; `sync_every` decides what a machine crash keeps.
+//! time and a `kill_after` point falls on the same event.
+//!
+//! # Durability point
+//!
+//! Each tenant's WAL buffers its frames and writes 256 at a time (see
+//! [`crate::wal`]). Every event applied before [`Daemon::commit`] (or
+//! [`Daemon::shutdown`]) returns has its WAL frame in the OS, so a
+//! process crash keeps it; `sync_every` decides what a machine crash
+//! keeps. Between commits a process crash loses at most 255 applied
+//! frames per tenant, which the file and tail sources re-feed. The
+//! runtimes commit whenever their source goes idle. A tenant joins an
+//! unwritten list when an append leaves frames in its buffer, and a
+//! commit visits that list only, so an idle point costs one `write` per
+//! tenant with frames and nothing per idle tenant.
 
 use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
@@ -236,6 +246,8 @@ struct Slot {
     last_t: Option<f64>,
     /// Whether the id is on the daemon's pending re-anchor list.
     pending: bool,
+    /// Whether the id is on the daemon's unwritten list.
+    unwritten: bool,
 }
 
 /// The multi-tenant admission daemon.
@@ -252,6 +264,9 @@ pub struct Daemon {
     ready: VecDeque<usize>,
     /// Ids with a deferred re-anchor to complete, each once.
     pending: Vec<usize>,
+    /// Ids whose WAL may hold frames not yet written, each once: a commit
+    /// visits these, not every tenant.
+    unwritten: Vec<usize>,
     next_line: u64,
     counters: DaemonCounters,
 }
@@ -274,6 +289,7 @@ impl Daemon {
             by_name: Vec::new(),
             ready: VecDeque::new(),
             pending: Vec::new(),
+            unwritten: Vec::new(),
             next_line: 0,
             counters: DaemonCounters::default(),
         };
@@ -312,6 +328,7 @@ impl Daemon {
             queue: VecDeque::new(),
             last_t: None,
             pending: false,
+            unwritten: false,
         });
         self.ids.insert(name.to_string(), id);
         let slots = &self.slots;
@@ -390,6 +407,7 @@ impl Daemon {
             match parsed.event {
                 Event::Arrival { class } => {
                     slot.tenant.shed(seq, class as u16, skewed)?;
+                    self.note_unwritten(id);
                     xbar_obs::inc("serve.shed");
                     return Ok(());
                 }
@@ -397,6 +415,7 @@ impl Daemon {
                     let hard_cap = self.cfg.queue_cap.saturating_mul(DEPARTURE_QUEUE_SLACK);
                     if slot.queue.len() >= hard_cap {
                         slot.tenant.reject(seq, class as u16, skewed)?;
+                        self.note_unwritten(id);
                         xbar_obs::inc("serve.departure_overflow");
                         return Ok(());
                     }
@@ -435,6 +454,7 @@ impl Daemon {
                 slot.pending = true;
                 self.pending.push(id);
             }
+            self.note_unwritten(id);
             if outcome == Outcome::Duplicate {
                 self.counters.duplicates += 1;
             } else {
@@ -480,6 +500,28 @@ impl Daemon {
     /// Apply everything queued.
     pub fn drain(&mut self) -> Result<u64, ServeError> {
         self.pump(u64::MAX)
+    }
+
+    /// Hand every tenant's buffered WAL frames to the OS: when it returns,
+    /// every event applied so far survives a process crash. Visits only
+    /// the tenants that appended since the last commit.
+    pub fn commit(&mut self) -> Result<(), ServeError> {
+        while let Some(&id) = self.unwritten.last() {
+            // A tenant whose write fails stays on the list.
+            self.slots[id].tenant.commit()?;
+            self.slots[id].unwritten = false;
+            self.unwritten.pop();
+        }
+        Ok(())
+    }
+
+    /// Put `id` on the unwritten list if its WAL holds buffered frames.
+    fn note_unwritten(&mut self, id: usize) {
+        let slot = &mut self.slots[id];
+        if !slot.unwritten && slot.tenant.unwritten() {
+            slot.unwritten = true;
+            self.unwritten.push(id);
+        }
     }
 
     /// Drain, snapshot, and sync every tenant (clean shutdown).
@@ -702,10 +744,46 @@ mod tests {
         daemon.ingest_line("# a comment").unwrap();
         daemon.ingest_line("t1 a 0").unwrap();
         daemon.drain().unwrap();
+        daemon.commit().unwrap();
         assert_eq!(daemon.counters().malformed, 1);
         assert_eq!(daemon.counters().lines, 4);
         // Seq numbers 1 and 4 were used for the two valid events.
         assert_eq!(daemon.tenant("t1").unwrap().durable_seq(), 4);
+    }
+
+    #[test]
+    fn commit_writes_the_tenants_that_appended_and_only_those() {
+        let d = dir("commit_unwritten");
+        let m = model();
+        let cfg = DaemonConfig {
+            queue_cap: 1,
+            ..DaemonConfig::default()
+        };
+        let (mut daemon, _) = Daemon::open(&d, &m, cfg).unwrap();
+        let on_disk = |name: &str| {
+            crate::wal::recover(&Tenant::wal_path(&d, name))
+                .unwrap()
+                .records
+                .len()
+        };
+        for name in ["a", "b", "c"] {
+            daemon.ingest_line(&format!("{name} a 0")).unwrap();
+        }
+        daemon.drain().unwrap();
+        // b's second arrival overflows its queue and is shed at ingest,
+        // before any pump: that append, too, puts b on the list.
+        daemon.ingest_line("b a 0").unwrap();
+        daemon.ingest_line("b a 0").unwrap();
+        assert_eq!([on_disk("a"), on_disk("b"), on_disk("c")], [0, 0, 0]);
+        assert_eq!(daemon.unwritten.len(), 3);
+        daemon.commit().unwrap();
+        assert!(daemon.unwritten.is_empty());
+        assert_eq!([on_disk("a"), on_disk("b"), on_disk("c")], [1, 2, 1]);
+        daemon.drain().unwrap();
+        assert_eq!(daemon.unwritten, [daemon.ids["b"]]);
+        daemon.commit().unwrap();
+        assert_eq!([on_disk("a"), on_disk("b"), on_disk("c")], [1, 3, 1]);
+        assert_eq!(daemon.tenant("b").unwrap().durable_seq(), 5);
     }
 
     #[test]
@@ -731,7 +809,8 @@ mod tests {
                 daemon.ingest_line(&format!("t1 a 0 @{i}")).unwrap();
             }
             daemon.drain().unwrap();
-            // Crash: no shutdown.
+            daemon.commit().unwrap();
+            // Crash after the commit point: no shutdown.
         }
         // A socket feeds only fresh events after the restart — nothing
         // re-feeds from the top. Without seeking past the durable prefix,
@@ -770,7 +849,8 @@ mod tests {
                 daemon.ingest_line(&format!("t1 a 0 @{i}")).unwrap();
             }
             assert_eq!(daemon.queued(), 2);
-            drop(daemon); // kill -9: queued events die, sheds survive
+            daemon.commit().unwrap();
+            drop(daemon); // kill -9: queued events die, committed sheds survive
         }
         let (mut daemon, _) = Daemon::open(&d, &m, cfg).unwrap();
         assert_eq!(daemon.tenant("t1").unwrap().resume_seq(), 6);
@@ -816,6 +896,7 @@ mod tests {
         assert!(daemon.accounting().holds());
         // The durable rejections survive a restart.
         let total_rejected = daemon.serve_counters().rejected;
+        daemon.commit().unwrap();
         drop(daemon);
         let (daemon, _) = Daemon::open(
             &d,
@@ -848,7 +929,8 @@ mod tests {
                 daemon.ingest_line(line).unwrap();
             }
             daemon.drain().unwrap();
-            // Crash: no shutdown.
+            daemon.commit().unwrap();
+            // Crash after the commit point: no shutdown.
         }
         // Restart and re-feed the whole stream from the top, as a resumed
         // tailer would: the durable prefix deduplicates, the tail applies.
@@ -1031,7 +1113,8 @@ mod tests {
                 daemon.ingest_line(line).unwrap();
             }
             daemon.drain().unwrap();
-            // Crash: no shutdown.
+            daemon.commit().unwrap();
+            // Crash after the commit point: no shutdown.
         }
         let (mut daemon, reports) = Daemon::open(&d, &m, DaemonConfig::default()).unwrap();
         let recovered: Vec<&str> = reports.iter().map(|(n, _)| n.as_str()).collect();
@@ -1041,6 +1124,7 @@ mod tests {
             daemon.ingest_line(line).unwrap();
         }
         daemon.drain().unwrap();
+        daemon.commit().unwrap();
         let names: Vec<&str> = daemon.tenants().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, ["a", "c", "d", "m", "x", "z"]);
         for (name, t) in daemon.tenants() {
@@ -1058,6 +1142,7 @@ mod tests {
         daemon.seek_past_durable();
         daemon.ingest_line("m a 0").unwrap();
         daemon.drain().unwrap();
+        daemon.commit().unwrap();
         assert_eq!(daemon.tenant("m").unwrap().durable_seq(), 11);
         assert!(daemon.accounting().holds());
     }

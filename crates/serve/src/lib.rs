@@ -11,7 +11,9 @@
 //!
 //! 1. **Durability** ([`wal`], [`snapshot`]) — every event that durably
 //!    happened to a tenant (applied, shed, or rejected) lands in an
-//!    append-only CRC-framed WAL; periodic snapshots capture the engine's
+//!    append-only CRC-framed WAL, written 256 frames at a time and at
+//!    every commit point (the source going idle, a socket's `!ack`, a
+//!    snapshot, shutdown); periodic snapshots capture the engine's
 //!    exact runtime state (occupancy vector, bit-exact log-weight,
 //!    counters) so a `kill -9` recovers to byte-identical accounting by
 //!    restoring the snapshot and replaying the WAL suffix. The WAL is the

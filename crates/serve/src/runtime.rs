@@ -19,8 +19,24 @@
 //!
 //! A line consisting of `!stop` cleanly shuts the daemon down from any
 //! source (drain, snapshot, sync).
+//!
+//! # Commit points
+//!
+//! Every runtime calls [`Daemon::commit`] whenever its source goes idle,
+//! so light load reaches the OS as soon as the lines stop and heavy load
+//! every 256 WAL frames per tenant; no clock is read for it. The tail
+//! commits before each 5 ms sleep, the socket when its channel is empty
+//! (before it waits on it), and the file at EOF through the shutdown.
+//!
+//! A socket cannot re-feed what a crash lost, so its clients get an
+//! explicit commit point: a line consisting of `!ack` makes the apply
+//! loop drain and commit, and the daemon then writes `ack <n>` back on
+//! that connection, where `n` counts the lines the connection sent
+//! before the `!ack`. All of them are applied and in the OS. Only the
+//! socket reader knows `!ack`: in a file or tailed file it is an ordinary
+//! (malformed) line, as before, since those sources re-feed instead.
 
-use std::io::{BufRead, BufReader, Read, Seek, SeekFrom};
+use std::io::{BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
@@ -41,6 +57,10 @@ pub enum Source {
 
 /// The control line that cleanly shuts the daemon down.
 pub const STOP_LINE: &str = "!stop";
+
+/// The socket control line that commits everything the connection sent
+/// before it; the daemon answers it with `ack <n>`.
+pub const ACK_LINE: &str = "!ack";
 
 /// What a run did.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -136,7 +156,30 @@ fn tail_file(
         } else if last_progress.elapsed() >= idle_timeout {
             return Ok(());
         } else {
+            // The source is idle: commit before waiting for more.
+            daemon.commit()?;
             std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+}
+
+/// What a socket reader hands the apply loop.
+enum Msg {
+    /// One protocol line.
+    Line(String),
+    /// An `!ack`: drain, commit, then signal the reader.
+    Ack(mpsc::Sender<()>),
+}
+
+/// Apply one socket message; `Ok(false)` on `!stop`.
+fn apply_msg(daemon: &mut Daemon, msg: Msg, report: &mut RunReport) -> Result<bool, ServeError> {
+    match msg {
+        Msg::Line(line) => feed_line(daemon, &line, report),
+        Msg::Ack(done) => {
+            report.applied += daemon.drain()?;
+            daemon.commit()?;
+            let _ = done.send(());
+            Ok(true)
         }
     }
 }
@@ -155,7 +198,7 @@ fn serve_socket(
     listener
         .set_nonblocking(true)
         .map_err(|e| ServeError::io(path, &e))?;
-    let (tx, rx) = mpsc::channel::<String>();
+    let (tx, rx) = mpsc::channel::<Msg>();
     // Reader pool cap from the shared thread plumbing (XBAR_THREADS).
     let max_readers = xbar_core::parallel::effective_threads();
     let mut readers: Vec<std::thread::JoinHandle<()>> = Vec::new();
@@ -165,15 +208,7 @@ fn serve_socket(
         match listener.accept() {
             Ok((stream, _)) if readers.len() < max_readers => {
                 let tx = tx.clone();
-                readers.push(std::thread::spawn(move || {
-                    for line in BufReader::new(stream).lines() {
-                        let Ok(line) = line else { break };
-                        let stop = line.trim() == STOP_LINE;
-                        if tx.send(line).is_err() || stop {
-                            break;
-                        }
-                    }
-                }));
+                readers.push(std::thread::spawn(move || read_connection(stream, &tx)));
             }
             Ok(_) => {
                 // Pool full: the connection is dropped (refused); callers
@@ -183,30 +218,58 @@ fn serve_socket(
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
             Err(e) => return Err(ServeError::io(path, &e)),
         }
-        match rx.recv_timeout(Duration::from_millis(5)) {
-            Ok(line) => {
-                last_progress = Instant::now();
-                if !feed_line(daemon, &line, report)? {
-                    let _ = std::fs::remove_file(path);
-                    return Ok(());
-                }
-                // Drain whatever else is already buffered before polling
-                // the listener again.
-                while let Ok(line) = rx.try_recv() {
-                    if !feed_line(daemon, &line, report)? {
+        // Apply whatever is already buffered, then commit: the channel
+        // is empty, so the source is idle.
+        let mut msg = rx.try_recv().ok();
+        if msg.is_none() {
+            daemon.commit()?;
+            match rx.recv_timeout(Duration::from_millis(5)) {
+                Ok(m) => msg = Some(m),
+                Err(mpsc::RecvTimeoutError::Timeout) => {
+                    if last_progress.elapsed() >= idle_timeout {
                         let _ = std::fs::remove_file(path);
                         return Ok(());
                     }
                 }
+                Err(mpsc::RecvTimeoutError::Disconnected) => unreachable!("tx kept alive above"),
             }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                if last_progress.elapsed() >= idle_timeout {
-                    let _ = std::fs::remove_file(path);
-                    return Ok(());
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => unreachable!("tx kept alive above"),
         }
+        while let Some(m) = msg {
+            last_progress = Instant::now();
+            if !apply_msg(daemon, m, report)? {
+                let _ = std::fs::remove_file(path);
+                return Ok(());
+            }
+            msg = rx.try_recv().ok();
+        }
+    }
+}
+
+/// Forward one connection's lines to the apply loop until EOF or `!stop`,
+/// answering each `!ack` with `ack <n>` once the apply loop has committed
+/// the `n` lines sent before it.
+fn read_connection(stream: std::os::unix::net::UnixStream, tx: &mpsc::Sender<Msg>) {
+    let Ok(mut reply) = stream.try_clone() else {
+        return;
+    };
+    let mut sent = 0u64;
+    for line in BufReader::new(stream).lines() {
+        let Ok(line) = line else { break };
+        if line.trim() == ACK_LINE {
+            let (done_tx, done_rx) = mpsc::channel();
+            if tx.send(Msg::Ack(done_tx)).is_err()
+                || done_rx.recv().is_err()
+                || writeln!(reply, "ack {sent}").is_err()
+            {
+                break;
+            }
+            continue;
+        }
+        let stop = line.trim() == STOP_LINE;
+        if tx.send(Msg::Line(line)).is_err() || stop {
+            break;
+        }
+        sent += 1;
     }
 }
 
@@ -268,6 +331,19 @@ mod tests {
         let report = run_source(&mut daemon, &Source::File(trace), Duration::ZERO).unwrap();
         assert!(report.stopped);
         assert_eq!(daemon.accounting().offers, 1, "line after !stop unread");
+    }
+
+    #[test]
+    fn ack_in_a_file_is_a_malformed_line_that_takes_a_sequence_number() {
+        let d = dir("file_ack");
+        let trace = d.join("trace.txt");
+        std::fs::write(&trace, "t1 a 0\n!ack\nt1 a 0\n").unwrap();
+        let (mut daemon, _) =
+            Daemon::open(&d.join("data"), &model(), DaemonConfig::default()).unwrap();
+        let report = run_source(&mut daemon, &Source::File(trace), Duration::ZERO).unwrap();
+        assert_eq!(report.lines, 3);
+        assert_eq!(daemon.counters().malformed, 1);
+        assert_eq!(daemon.tenant("t1").unwrap().durable_seq(), 3);
     }
 
     #[test]
@@ -335,6 +411,46 @@ mod tests {
         let acc = daemon.accounting();
         assert_eq!(acc.offers, 25, "10 recovered + 15 fresh");
         assert!(acc.holds());
+    }
+
+    #[test]
+    fn socket_ack_answers_once_every_line_before_it_is_in_the_wal() {
+        use std::os::unix::net::UnixStream;
+        let d = dir("socket_ack");
+        let sock = d.join("xbar.sock");
+        let data = d.join("data");
+        let sock_for_client = sock.clone();
+        let wal = crate::tenant::Tenant::wal_path(&data, "t1");
+        let client = std::thread::spawn(move || {
+            let mut stream = loop {
+                match UnixStream::connect(&sock_for_client) {
+                    Ok(s) => break s,
+                    Err(_) => std::thread::sleep(Duration::from_millis(5)),
+                }
+            };
+            for i in 0..300 {
+                writeln!(stream, "t1 a 0 @{i}").unwrap();
+            }
+            writeln!(stream, "{ACK_LINE}").unwrap();
+            let mut answer = String::new();
+            BufReader::new(stream.try_clone().unwrap())
+                .read_line(&mut answer)
+                .unwrap();
+            // The daemon is still running: the ack alone promises that
+            // all 300 records are in the file, before any shutdown.
+            let on_disk = crate::wal::recover(&wal).unwrap().records.len();
+            writeln!(stream, "{STOP_LINE}").unwrap();
+            (answer, on_disk)
+        });
+        let (mut daemon, _) = Daemon::open(&data, &model(), DaemonConfig::default()).unwrap();
+        let report =
+            run_source(&mut daemon, &Source::Socket(sock), Duration::from_secs(30)).unwrap();
+        let (answer, on_disk) = client.join().unwrap();
+        assert_eq!(answer, "ack 300\n");
+        assert_eq!(on_disk, 300);
+        assert!(report.stopped);
+        assert_eq!(report.lines, 300, "the ack is a control line, not an event");
+        assert_eq!(daemon.accounting().offers, 300);
     }
 
     #[test]

@@ -289,8 +289,10 @@ pub fn decode(bytes: &[u8]) -> Option<TenantSnapshot> {
 }
 
 /// Write a snapshot atomically: temp file in the same directory, flush,
-/// then rename over `path`. A crash at any point leaves either the old
-/// snapshot or the new one, never a torn file.
+/// rename over `path`, then sync the directory so the rename itself is
+/// on stable storage. A crash at any point leaves either the old
+/// snapshot or the new one, never a torn file, and once `write` returns
+/// a machine crash cannot bring the old one back.
 pub fn write(path: &Path, snap: &TenantSnapshot) -> Result<(), ServeError> {
     let bytes = encode(snap);
     let tmp = path.with_extension("snap.tmp");
@@ -299,7 +301,14 @@ pub fn write(path: &Path, snap: &TenantSnapshot) -> Result<(), ServeError> {
         f.write_all(&bytes).map_err(|e| ServeError::io(&tmp, &e))?;
         f.sync_data().map_err(|e| ServeError::io(&tmp, &e))?;
     }
-    std::fs::rename(&tmp, path).map_err(|e| ServeError::io(path, &e))
+    std::fs::rename(&tmp, path).map_err(|e| ServeError::io(path, &e))?;
+    let dir = match path.parent() {
+        Some(p) if !p.as_os_str().is_empty() => p,
+        _ => Path::new("."),
+    };
+    std::fs::File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(|e| ServeError::io(dir, &e))
 }
 
 /// Load a snapshot; `Ok(None)` when the file is missing or unusable

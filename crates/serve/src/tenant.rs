@@ -5,8 +5,11 @@
 //!
 //! Events are **applied first, then logged**: a WAL record exists only
 //! for events the engine (or the shed/reject path) actually absorbed, so
-//! replay can never hit an error the original run didn't, and a crash
-//! between apply and append loses at most that single in-flight event.
+//! replay can never hit an error the original run didn't. The WAL groups
+//! its frames (see [`crate::wal`]): a record reaches the OS when the
+//! group fills, at a snapshot, or at [`Tenant::commit`], so a process
+//! crash loses the in-flight event plus the records appended since that
+//! point. A source that re-feeds from the top re-applies them.
 //! Recovery = restore the newest usable snapshot (validated by CRC and
 //! [model fingerprint](crate::snapshot::model_fingerprint)), then replay
 //! the WAL records past the snapshot's sequence number. Because the
@@ -91,7 +94,7 @@ impl Default for TenantConfig {
     fn default() -> Self {
         TenantConfig {
             policy: PolicySpec::CompleteSharing,
-            algorithm: Algorithm::Mva,
+            algorithm: Algorithm::Auto,
             check_interval: 1024,
             drift_tol: 1e-9,
             snapshot_interval: 4096,
@@ -174,8 +177,12 @@ pub struct Tenant {
     wal: Wal,
     snap_path: PathBuf,
     counters: ServeCounters,
-    /// Highest sequence number ever durably absorbed (snapshot watermark).
+    /// Highest sequence number whose WAL record reached the OS (snapshot
+    /// watermark).
     durable_seq: u64,
+    /// Highest sequence number appended to the WAL, buffered or written;
+    /// `durable_seq` catches up with it whenever the WAL buffer empties.
+    appended_seq: u64,
     /// Crash-resume dedupe watermark, **fixed at open**: the highest
     /// sequence number durable before this process started. It
     /// deliberately does not advance with `durable_seq`: durable appends
@@ -253,6 +260,7 @@ impl Tenant {
             snap_path,
             counters: ServeCounters::default(),
             durable_seq: 0,
+            appended_seq: 0,
             resume_seq: 0,
             durable_below_resume: Vec::new(),
             quarantined: false,
@@ -292,6 +300,7 @@ impl Tenant {
         // rather than misread as a duplicate.
         let max_rec_seq = recovery.records.iter().map(|r| r.seq).max().unwrap_or(0);
         tenant.durable_seq = tenant.durable_seq.max(max_rec_seq);
+        tenant.appended_seq = tenant.durable_seq;
         tenant.resume_seq = tenant.durable_seq;
         let mut seqs: Vec<u64> = recovery.records.iter().map(|r| r.seq).collect();
         seqs.sort_unstable();
@@ -342,7 +351,8 @@ impl Tenant {
             class,
             skewed,
         })?;
-        self.durable_seq = self.durable_seq.max(seq);
+        self.appended_seq = self.appended_seq.max(seq);
+        self.note_written();
         if seq <= self.resume_seq {
             // A healed gap event (queued-but-lost at the crash, re-fed
             // now): record it so the dedupe set stays exact.
@@ -351,6 +361,26 @@ impl Tenant {
             }
         }
         Ok(())
+    }
+
+    /// Advance `durable_seq` once every appended record is in the file.
+    fn note_written(&mut self) {
+        if self.wal.unwritten() == 0 {
+            self.durable_seq = self.appended_seq;
+        }
+    }
+
+    /// Hand the WAL's buffered records to the OS. When it returns, every
+    /// event this tenant absorbed survives a process crash.
+    pub fn commit(&mut self) -> Result<(), ServeError> {
+        self.wal.commit()?;
+        self.note_written();
+        Ok(())
+    }
+
+    /// Whether the WAL holds records not yet handed to the OS.
+    pub(crate) fn unwritten(&self) -> bool {
+        self.wal.unwritten() > 0
     }
 
     /// Whether `seq` already has a durable WAL record from before this
@@ -585,8 +615,10 @@ impl Tenant {
     /// Write a durable snapshot of the current state.
     pub fn write_snapshot(&mut self) -> Result<(), ServeError> {
         // Snapshot ordering: the WAL must be at least as new as the
-        // snapshot claims, so sync it first.
+        // snapshot claims, so commit and sync it first: `wal_records`
+        // then counts records that are in the file.
         self.wal.sync()?;
+        self.note_written();
         let snap = TenantSnapshot {
             seq: self.durable_seq,
             wal_records: self.wal.records(),
@@ -620,7 +652,7 @@ impl Tenant {
         &self.counters
     }
 
-    /// Highest durable sequence number.
+    /// Highest sequence number whose WAL record has reached the OS.
     pub fn durable_seq(&self) -> u64 {
         self.durable_seq
     }
@@ -707,10 +739,12 @@ mod tests {
         let (mut golden, _) = Tenant::open("t", &golden_dir, &m, cfg()).unwrap();
         feed(&mut golden, 0, 500);
         // Interrupted run: same events, but drop the tenant (kill -9
-        // equivalent: no shutdown, no final snapshot) halfway.
+        // equivalent: no shutdown, no final snapshot) halfway, after a
+        // commit point.
         {
             let (mut t, _) = Tenant::open("t", &d, &m, cfg()).unwrap();
             feed(&mut t, 0, 230);
+            t.commit().unwrap();
             // no shutdown: simulated crash
         }
         let (mut t, report) = Tenant::open("t", &d, &m, cfg()).unwrap();
@@ -726,6 +760,45 @@ mod tests {
             t.engine().log_weight().to_bits(),
             golden.engine().log_weight().to_bits(),
             "log-weight restores bit-exactly"
+        );
+    }
+
+    #[test]
+    fn a_crash_before_the_commit_loses_the_buffer_and_refeed_heals_it() {
+        let m = model();
+        let golden_dir = dir("uncommitted_golden");
+        let (mut golden, _) = Tenant::open("t", &golden_dir, &m, cfg()).unwrap();
+        feed(&mut golden, 0, 500);
+        let d = dir("uncommitted");
+        let cut = {
+            let (mut t, _) = Tenant::open("t", &d, &m, cfg()).unwrap();
+            feed(&mut t, 0, 230);
+            // The last periodic snapshot committed the WAL; the records
+            // after it are still in the buffer when the tenant dies.
+            t.durable_seq()
+        };
+        assert!(cut > 0 && cut < 230, "cut {cut}");
+        let (mut t, report) = Tenant::open("t", &d, &m, cfg()).unwrap();
+        assert!(report.snapshot_used);
+        assert_eq!(report.replayed, 0, "the snapshot covers the whole file");
+        assert_eq!(t.durable_seq(), cut);
+        // Re-feeding from the top dedupes the committed prefix and
+        // re-applies the rest.
+        for seq in 1..=cut {
+            assert_eq!(
+                t.apply(seq, Event::Arrival { class: 0 }, false).unwrap(),
+                Outcome::Duplicate
+            );
+        }
+        feed(&mut t, cut, 500 - cut);
+        t.commit().unwrap();
+        golden.commit().unwrap();
+        assert_eq!(t.engine().export_state(), golden.engine().export_state());
+        assert_eq!(t.counters().rejected, golden.counters().rejected);
+        assert_eq!(t.counters().skewed, golden.counters().skewed);
+        assert_eq!(
+            std::fs::read(Tenant::wal_path(&d, "t")).unwrap(),
+            std::fs::read(Tenant::wal_path(&golden_dir, "t")).unwrap()
         );
     }
 
@@ -813,7 +886,9 @@ mod tests {
         );
         assert_eq!(t.counters().shed, 1);
         assert_eq!(t.counters().rejected, 4);
-        // Quarantine survives a restart (it was snapshotted).
+        // Quarantine survives a restart (it was snapshotted), and the
+        // committed records after it replay.
+        t.commit().unwrap();
         drop(t);
         let (t, _) = Tenant::open("t", &d, &m, c).unwrap();
         assert!(t.quarantined(), "quarantine is durable");
@@ -898,6 +973,8 @@ mod tests {
         assert!(!t.quarantined());
         assert_eq!(t.engine().stats().offered(), 1);
         assert_eq!(t.engine().state(), &[1, 0]);
+        assert_eq!(t.durable_seq(), 0, "the record is still buffered");
+        t.commit().unwrap();
         assert_eq!(t.durable_seq(), 1);
         // The refusal routed a re-anchor through the coalesced path; the
         // zero budget then takes the stale-anchor ladder.
@@ -912,6 +989,7 @@ mod tests {
         assert_eq!(t.counters().stale_reprices, 2);
         assert_eq!(t.engine().stats().departures, 1);
         // Replay counts refusals identically: reopen and compare.
+        t.commit().unwrap();
         drop(t);
         let mut c2 = cfg();
         c2.policy = PolicySpec::ShadowPrice { reserve: 1 };
@@ -933,6 +1011,7 @@ mod tests {
             for seq in 1..=5 {
                 t.apply(seq, Event::Arrival { class: 0 }, false).unwrap();
             }
+            t.commit().unwrap();
             // crash: no shutdown
         }
         let (mut t, _) = Tenant::open("t", &d, &m, cfg()).unwrap();

@@ -26,6 +26,18 @@
 //! first, then the WAL appends it. A crash between the two loses that one
 //! in-flight event (it was never durable), never corrupts state, and can
 //! never leave a poison record that re-fails on every recovery replay.
+//!
+//! # Group commit
+//!
+//! [`Wal::append`] encodes the frame into a buffer. The buffered frames
+//! reach the OS in one `write_all` at three points: when the buffer holds
+//! `GROUP_FRAMES` (256) frames, in [`Wal::sync`], and in [`Wal::commit`].
+//! Between those points a process crash loses the buffered frames, at
+//! most 255 of them, along with the in-flight event. Because the buffer
+//! always goes out whole, the file stays a prefix of the appended
+//! records, and a source that re-feeds from the top re-applies exactly
+//! the lost suffix. There is deliberately no flush on drop: dropping a
+//! WAL is how the tests model `kill -9`.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
@@ -88,6 +100,11 @@ pub struct WalRecord {
 
 /// Payload bytes per record (fixed layout, see module docs).
 const PAYLOAD_LEN: usize = 12;
+/// Bytes per frame: the length and CRC header plus the payload.
+const FRAME_LEN: usize = 8 + PAYLOAD_LEN;
+/// Frames [`Wal::append`] buffers before it hands them to the OS in one
+/// `write_all` (5,120 bytes).
+const GROUP_FRAMES: usize = 256;
 /// Sanity bound on the frame length field: a larger value means the
 /// header itself is garbage (torn write), not a future format.
 const MAX_FRAME: u32 = 1024;
@@ -200,6 +217,8 @@ pub fn recover(path: &Path) -> Result<WalRecovery, ServeError> {
 pub struct Wal {
     file: File,
     path: PathBuf,
+    /// Encoded frames appended but not yet written to the file.
+    buf: Vec<u8>,
     len: u64,
     records: u64,
     appends_since_sync: u64,
@@ -229,6 +248,7 @@ impl Wal {
             Wal {
                 file,
                 path: path.to_path_buf(),
+                buf: Vec::with_capacity(GROUP_FRAMES * FRAME_LEN),
                 len: recovery.valid_bytes,
                 records: recovery.records.len() as u64,
                 appends_since_sync: 0,
@@ -238,42 +258,65 @@ impl Wal {
         ))
     }
 
-    /// Append one record (frame + payload in a single `write_all`).
+    /// Append one record to the buffer. The buffer goes to the OS when it
+    /// holds `GROUP_FRAMES` frames, or through the `sync` that
+    /// `sync_every` calls for.
     pub fn append(&mut self, rec: &WalRecord) -> Result<(), ServeError> {
         let payload = encode_payload(rec);
-        let mut frame = [0u8; 8 + PAYLOAD_LEN];
-        frame[0..4].copy_from_slice(&(PAYLOAD_LEN as u32).to_le_bytes());
-        frame[4..8].copy_from_slice(&crc32(&payload).to_le_bytes());
-        frame[8..].copy_from_slice(&payload);
-        self.file
-            .write_all(&frame)
-            .map_err(|e| ServeError::io(&self.path, &e))?;
-        self.len += frame.len() as u64;
+        self.buf
+            .extend_from_slice(&(PAYLOAD_LEN as u32).to_le_bytes());
+        self.buf.extend_from_slice(&crc32(&payload).to_le_bytes());
+        self.buf.extend_from_slice(&payload);
+        self.len += FRAME_LEN as u64;
         self.records += 1;
         self.appends_since_sync += 1;
         if self.sync_every > 0 && self.appends_since_sync >= self.sync_every {
-            self.sync()?;
+            self.sync()
+        } else if self.buf.len() >= GROUP_FRAMES * FRAME_LEN {
+            self.commit()
+        } else {
+            Ok(())
         }
+    }
+
+    /// Hand every buffered frame to the OS in one `write_all`. When it
+    /// returns, a process crash keeps every appended record.
+    pub fn commit(&mut self) -> Result<(), ServeError> {
+        if self.buf.is_empty() {
+            return Ok(());
+        }
+        self.file
+            .write_all(&self.buf)
+            .map_err(|e| ServeError::io(&self.path, &e))?;
+        self.buf.clear();
         Ok(())
     }
 
-    /// Force the file to stable storage.
+    /// Commit the buffer, then force the file to stable storage.
     pub fn sync(&mut self) -> Result<(), ServeError> {
+        self.commit()?;
         self.appends_since_sync = 0;
         self.file
             .sync_data()
             .map_err(|e| ServeError::io(&self.path, &e))
     }
 
-    /// Bytes of valid WAL currently on disk.
+    /// Appended frames still in the buffer, not yet written to the file.
+    pub fn unwritten(&self) -> usize {
+        self.buf.len() / FRAME_LEN
+    }
+
+    /// Bytes of valid WAL appended: the file plus the buffer.
     pub fn len(&self) -> u64 {
         self.len
     }
 
-    /// Records on disk (recovered + appended) — the position snapshots
-    /// store so recovery replays by file position, not by sequence number
-    /// (durable appends need not be in sequence order: overflow sheds for
-    /// late events land before earlier queued events are applied).
+    /// Records appended (recovered + appended, buffered ones included) —
+    /// the position snapshots store so recovery replays by file position,
+    /// not by sequence number (durable appends need not be in sequence
+    /// order: overflow sheds for late events land before earlier queued
+    /// events are applied). A snapshot is taken right after [`Wal::sync`],
+    /// when every one of them is in the file.
     pub fn records(&self) -> u64 {
         self.records
     }
@@ -288,7 +331,8 @@ impl Wal {
         &self.path
     }
 
-    /// Re-read the whole file (tests and audits; not on any hot path).
+    /// Re-read the whole file, without the buffered frames (tests and
+    /// audits; not on any hot path).
     pub fn read_all(&self) -> Result<Vec<u8>, ServeError> {
         let mut f = File::open(&self.path).map_err(|e| ServeError::io(&self.path, &e))?;
         let mut bytes = Vec::new();
@@ -374,11 +418,67 @@ mod tests {
             for r in &recs {
                 wal.append(r).unwrap();
             }
+            wal.commit().unwrap();
         }
         let (wal, recovery) = Wal::open(&path, 0).unwrap();
         assert_eq!(recovery.records, recs);
         assert!(!recovery.damaged);
-        assert_eq!(wal.len(), 50 * (8 + PAYLOAD_LEN) as u64);
+        assert_eq!(wal.len(), 50 * FRAME_LEN as u64);
+    }
+
+    /// One frame as a write per record lays it out.
+    fn frame(r: &WalRecord) -> Vec<u8> {
+        let payload = encode_payload(r);
+        let mut f = (PAYLOAD_LEN as u32).to_le_bytes().to_vec();
+        f.extend_from_slice(&crc32(&payload).to_le_bytes());
+        f.extend_from_slice(&payload);
+        f
+    }
+
+    #[test]
+    fn frames_reach_the_file_by_the_group_and_on_commit() {
+        let path = tmp("group");
+        let recs: Vec<WalRecord> = (0..GROUP_FRAMES as u64 + 44)
+            .map(|i| rec(i, RecordKind::Arrival, (i % 3) as u16))
+            .collect();
+        let on_disk = || std::fs::metadata(&path).unwrap().len();
+        let (mut wal, _) = Wal::open(&path, 0).unwrap();
+        for r in &recs[..GROUP_FRAMES - 1] {
+            wal.append(r).unwrap();
+        }
+        assert_eq!(on_disk(), 0, "fewer than a group stays buffered");
+        assert_eq!(wal.unwritten(), GROUP_FRAMES - 1);
+        assert_eq!(wal.records(), GROUP_FRAMES as u64 - 1);
+        assert_eq!(wal.len(), ((GROUP_FRAMES - 1) * FRAME_LEN) as u64);
+        wal.append(&recs[GROUP_FRAMES - 1]).unwrap();
+        assert_eq!(on_disk(), (GROUP_FRAMES * FRAME_LEN) as u64);
+        assert_eq!(wal.unwritten(), 0);
+        for r in &recs[GROUP_FRAMES..] {
+            wal.append(r).unwrap();
+        }
+        assert_eq!(on_disk(), (GROUP_FRAMES * FRAME_LEN) as u64);
+        wal.commit().unwrap();
+        let one_write_per_frame: Vec<u8> = recs.iter().flat_map(frame).collect();
+        assert_eq!(std::fs::read(&path).unwrap(), one_write_per_frame);
+        assert_eq!(wal.len(), one_write_per_frame.len() as u64);
+        // Dropped without a commit, the buffer dies: the file keeps the
+        // committed prefix and nothing else.
+        wal.append(&rec(999, RecordKind::Shed, 0)).unwrap();
+        drop(wal);
+        let (_, recovery) = Wal::open(&path, 0).unwrap();
+        assert_eq!(recovery.records, recs);
+        assert!(!recovery.damaged);
+    }
+
+    #[test]
+    fn sync_every_writes_and_syncs_at_its_cadence() {
+        let path = tmp("sync_every");
+        let (mut wal, _) = Wal::open(&path, 10).unwrap();
+        for i in 0..25 {
+            wal.append(&rec(i, RecordKind::Departure, 0)).unwrap();
+        }
+        assert_eq!(std::fs::read(&path).unwrap().len(), 20 * FRAME_LEN);
+        assert_eq!(wal.unwritten(), 5);
     }
 
     #[test]
@@ -389,15 +489,16 @@ mod tests {
             for i in 0..10 {
                 wal.append(&rec(i, RecordKind::Arrival, 0)).unwrap();
             }
+            wal.commit().unwrap();
         }
         let full = std::fs::read(&path).unwrap();
         // Chop mid-frame: 9 full frames plus half a frame.
-        let cut = 9 * (8 + PAYLOAD_LEN) + 5;
+        let cut = 9 * FRAME_LEN + 5;
         std::fs::write(&path, &full[..cut]).unwrap();
         let (wal, recovery) = Wal::open(&path, 0).unwrap();
         assert_eq!(recovery.records.len(), 9);
         assert!(recovery.damaged);
-        assert_eq!(recovery.valid_bytes, 9 * (8 + PAYLOAD_LEN) as u64);
+        assert_eq!(recovery.valid_bytes, 9 * FRAME_LEN as u64);
         // The file was repaired in place.
         assert_eq!(
             std::fs::metadata(wal.path()).unwrap().len(),
@@ -415,10 +516,11 @@ mod tests {
             for i in 0..10 {
                 wal.append(&rec(i, RecordKind::Departure, 1)).unwrap();
             }
+            wal.commit().unwrap();
         }
         let mut bytes = std::fs::read(&path).unwrap();
         // Flip a payload byte inside frame 6 (0-based): CRC must catch it.
-        let off = 6 * (8 + PAYLOAD_LEN) + 8 + 3;
+        let off = 6 * FRAME_LEN + 8 + 3;
         bytes[off] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
         let recovery = recover(&path).unwrap();

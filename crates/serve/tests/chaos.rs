@@ -188,6 +188,110 @@ fn kill_and_recover_is_byte_identical_to_uninterrupted_run() {
     );
 }
 
+/// Every `<tenant>.wal` under `dir` with its bytes, in name order.
+fn wal_files(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
+    let mut out: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().and_then(|e| e.to_str()) == Some("wal"))
+        .map(|p| {
+            let name = p.file_name().unwrap().to_string_lossy().into_owned();
+            (name, std::fs::read(&p).unwrap())
+        })
+        .collect();
+    out.sort();
+    out
+}
+
+/// Records in the WAL files under `dir`.
+fn wal_records_on_disk(dir: &std::path::Path) -> usize {
+    wal_files(dir)
+        .iter()
+        .map(|(name, _)| {
+            xbar_serve::wal::recover(&dir.join(name))
+                .unwrap()
+                .records
+                .len()
+        })
+        .sum()
+}
+
+/// Kill -9 (drop) with WAL frames still in the group-commit buffer: the
+/// snapshot cadence (300) is above the 256-frame group, so both the full
+/// group and the snapshot commit the buffer, and the kills land between
+/// those points. The file loses the buffered frames, stays a prefix of
+/// the golden WAL, and re-feeding from the top ends byte-identical to the
+/// uninterrupted run: occupancy, counters, log-weight bits and every WAL.
+#[test]
+fn kill_with_frames_in_the_buffer_refeeds_to_byte_identical_wals() {
+    let plan = StreamPlan {
+        lines: 4000,
+        malformed_p: 0.02,
+        invalid_p: 0.02,
+        ..StreamPlan::default()
+    };
+    let lines = plan.generate_lines();
+    let cfg = DaemonConfig {
+        tenant: TenantConfig {
+            snapshot_interval: 300,
+            ..tenant_cfg()
+        },
+        ..DaemonConfig::default()
+    };
+
+    let golden_dir = dir("buffer_golden");
+    let (mut golden, _) = Daemon::open(&golden_dir, &model(), cfg.clone()).unwrap();
+    for line in &lines {
+        golden.ingest_line(line).unwrap();
+    }
+    golden.drain().unwrap();
+    golden.commit().unwrap();
+    let want = end_state(&golden);
+    let want_wals = wal_files(&golden_dir);
+
+    let mut rng = StdRng::seed_from_u64(0xB0FF);
+    let mut cuts: Vec<usize> = Vec::new();
+    while cuts.len() < 5 {
+        let cut = rng.gen_range(1..lines.len());
+        if cut % 256 != 0 {
+            cuts.push(cut);
+        }
+    }
+    cuts.sort_unstable();
+    let d = dir("buffer_chaos");
+    for &cut in &cuts {
+        let (mut daemon, _) = Daemon::open(&d, &model(), cfg.clone()).unwrap();
+        let before = wal_records_on_disk(&d);
+        for line in &lines[..cut] {
+            daemon.ingest_line(line).unwrap();
+        }
+        daemon.drain().unwrap();
+        let appended = before as u64 + daemon.counters().applied;
+        drop(daemon); // kill -9: the group-commit buffers die
+        let on_disk = wal_records_on_disk(&d) as u64;
+        assert!(
+            on_disk < appended,
+            "cut {cut}: {on_disk} records on disk, {appended} appended"
+        );
+        for (name, bytes) in wal_files(&d) {
+            let golden_bytes = &want_wals.iter().find(|(n, _)| *n == name).unwrap().1;
+            assert!(
+                golden_bytes.starts_with(&bytes),
+                "cut {cut}: {name} is not a prefix of the golden WAL"
+            );
+        }
+    }
+    let (mut daemon, _) = Daemon::open(&d, &model(), cfg).unwrap();
+    for line in &lines {
+        daemon.ingest_line(line).unwrap();
+    }
+    daemon.drain().unwrap();
+    daemon.commit().unwrap();
+    assert_accounting(&daemon);
+    assert_eq!(end_state(&daemon), want, "recovery must be byte-identical");
+    assert_eq!(wal_files(&d), want_wals, "every WAL byte-identical");
+}
+
 /// Kill -9 **mid-repricing-batch**: with per-batch shadow repricing on
 /// (batch length coprime to the snapshot interval, so every seeded kill
 /// lands with the batch phase partway through), a recovered daemon fed

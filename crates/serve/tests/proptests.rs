@@ -121,6 +121,7 @@ proptest! {
             for r in &recs {
                 w.append(r).map_err(|e| TestCaseError::fail(e.to_string()))?;
             }
+            w.commit().map_err(|e| TestCaseError::fail(e.to_string()))?;
             prop_assert_eq!(w.records(), recs.len() as u64);
         }
         let (_, recovery) = Wal::open(&path, 0).map_err(|e| TestCaseError::fail(e.to_string()))?;
@@ -145,6 +146,7 @@ proptest! {
             for r in &recs {
                 w.append(r).map_err(|e| TestCaseError::fail(e.to_string()))?;
             }
+            w.commit().map_err(|e| TestCaseError::fail(e.to_string()))?;
         }
         let bytes = std::fs::read(&path).map_err(|e| TestCaseError::fail(e.to_string()))?;
         let cut = ((bytes.len() as f64) * cut_frac) as usize;
@@ -180,6 +182,7 @@ proptest! {
             for r in &recs {
                 w.append(r).map_err(|e| TestCaseError::fail(e.to_string()))?;
             }
+            w.commit().map_err(|e| TestCaseError::fail(e.to_string()))?;
         }
         let mut bytes = std::fs::read(&path).map_err(|e| TestCaseError::fail(e.to_string()))?;
         let pos = (((bytes.len() - 1) as f64) * pos_frac) as usize;

@@ -318,7 +318,9 @@ pub enum ServeSource {
     File(String),
     /// Follow a growing file until `!stop` or the idle timeout.
     Tail(String),
-    /// Accept line streams on a unix-domain socket until `!stop`.
+    /// Accept line streams on a unix-domain socket until `!stop`; a
+    /// connection's `!ack` is answered with `ack <n>` once the `n` lines
+    /// it sent before are applied and in the OS.
     Socket(String),
 }
 
