@@ -96,9 +96,10 @@ pub fn solve_fleet(
 /// order, one `Result` per model).
 ///
 /// This is the warm path for the figure drivers, per-anchor repricing
-/// solvers and [`crate::SweepGrid`] batch builds: the `O(R²·C²)`
-/// precomputes amortise across the pool. Counted as `fleet.sweep_warm`
-/// (one increment per model).
+/// solvers and [`crate::SweepGrid`] batch builds: the `O(R·C²)`
+/// precomputes amortise across the pool. Each solver's leave-one-out
+/// rays are built later, by the caller that first uses them. Counted as
+/// `fleet.sweep_warm` (one increment per model).
 pub fn sweep_many(models: &[Model], algorithm: Algorithm) -> Vec<Result<SweepSolver, SolveError>> {
     xbar_obs::add("fleet.sweep_warm", models.len() as u64);
     shard_map(models.len(), |i| SweepSolver::new(&models[i], algorithm))

@@ -44,9 +44,10 @@ pub struct Sensitivity {
 }
 
 /// Assemble all sensitivities for `model` exactly from the sweep
-/// partials — one `O(R²·C²)` precompute and `R` gradient passes, zero
-/// full solves (the old finite-difference assembly paid `2R·(2R + 2)`
-/// of them).
+/// partials — one precompute and `R` gradient passes, which build the
+/// `R − 1` lazy leave-one-out rays (`O(R²·C²)` in all), and zero full
+/// solves (the old finite-difference assembly paid `2R·(2R + 2)` of
+/// them).
 ///
 /// `algorithm` picks the numeric backend of the partials, with the same
 /// policy as [`SweepSolver::new`].
@@ -56,14 +57,16 @@ pub fn sensitivity(model: &Model, algorithm: Algorithm) -> Result<Sensitivity, S
 }
 
 /// Assemble the sensitivity matrices from an already-built
-/// [`SweepSolver`], paying only the `R` gradient recombination passes.
+/// [`SweepSolver`], paying only the `R` gradient recombination passes
+/// and whichever leave-one-out rays the solver has not built yet.
 /// The result is bit-identical to [`sensitivity`] on the solver's model
 /// (the precompute is the only work skipped).
 ///
 /// An explicit fixed-range backend can overflow a derivative ray while
 /// its precompute is healthy; [`SweepSolver::gradients`] then returns
 /// inf/NaN entries. Here any non-finite gradient is a
-/// [`SolveError::Guard`], so no caller prices off it.
+/// [`SolveError::Guard`], so no caller prices off it, and an unhealthy
+/// leave-one-out ray is the backend's [`SolveError::Underflow`].
 pub fn sensitivity_from(sweep: &SweepSolver) -> Result<Sensitivity, SolveError> {
     let r_count = sweep.model().num_classes();
     let finite = |what: &str, v: f64| {
@@ -77,7 +80,7 @@ pub fn sensitivity_from(sweep: &SweepSolver) -> Result<Sensitivity, SolveError> 
     let mut revenue_by_rho = vec![0.0; r_count];
     let mut revenue_by_beta = vec![0.0; r_count];
     for s in 0..r_count {
-        let g = sweep.gradients(s);
+        let g = sweep.try_gradients(s)?;
         for r in 0..r_count {
             nonblocking_by_rho[r][s] = finite("dB/drho", g.nonblocking_by_rho[r])?;
             concurrency_by_rho[r][s] = finite("dE/drho", g.concurrency_by_rho[r])?;
@@ -282,6 +285,8 @@ mod tests {
         let snap = reg.snapshot();
         assert!(snap.histogram("span.sweep.precompute").is_none());
         assert_eq!(snap.counter("sweep.gradients"), Some(2));
+        // The gradient passes build the R − 1 = 1 lazy leave-one-out ray.
+        assert_eq!(snap.counter("sweep.loo_build"), Some(1));
 
         for s in 0..2 {
             for r in 0..2 {

@@ -19,9 +19,18 @@
 //! ```
 //!
 //! where `Q_S` is the normalised lattice with only the classes in `S`
-//! installed. [`SweepSolver`] precomputes the leave-one-out partials
-//! `Q_{-r}` once per base model and answers `solve_with_class(r, class)`
-//! with a single recombination.
+//! installed. [`SweepSolver`] keeps the leave-one-out partials `Q_{-r}`
+//! of one base model and answers `solve_with_class(r, class)` with a
+//! single recombination.
+//!
+//! The precompute is eager only where every use needs it: the prefix
+//! chain `pre[i] = Q_{classes[..i]}` and the full ray, `R` class
+//! installs — the work `solve(Auto)` does. `Q_{-r}` is `pre[r]` with
+//! the classes after `r` installed; it is built on the first point or
+//! gradient that edits class `r` (counted as `sweep.loo_build`), and
+//! `Q_{-(R−1)} = pre[R−1]` costs nothing. A sweep of class `r`
+//! therefore pays `R + (R−1−r)` installs, not the `R(R+1)/2` of an
+//! eager prefix/suffix build.
 //!
 //! # The diagonal ray
 //!
@@ -44,9 +53,10 @@
 //! `Algorithm::Auto` tries the scaled rays at every `N` — the largest
 //! scaled ray value is about `e^{2N/e}`, in `f64` range up to
 //! `N ≈ 960` at light load — and falls back to extended range only where
-//! a scaled ray leaves its operating envelope: a full ray, a whole
-//! precompute, or a single recombination, which is then redone against
-//! extended-range rays built once per solver on first need.
+//! a scaled ray leaves its operating envelope: a full ray, the eager
+//! precompute, a lazily built leave-one-out ray, or a single
+//! recombination, which is then redone against extended-range rays built
+//! once per solver on first need.
 //!
 //! The same partials yield the §4 sensitivity gradients **exactly**:
 //! differentiating `Φ_r` term-by-term gives `∂Q/∂ρ_s` and `∂Q/∂y_s`
@@ -76,18 +86,39 @@ pub(crate) struct Ray<S> {
     dims: Dims,
     ln_c: f64,
     vals: Vec<S>,
+    /// `shifts[k] = c^{2k}` for every offset `k ≤ max a_r` of the
+    /// model: the measures read ratios `a_r` apart, so the `exp` of
+    /// each scale correction is taken once per ray, not once per ratio.
+    shifts: Vec<f64>,
 }
 
 impl<S: QScalar> Ray<S> {
+    /// The ray `vals` of `model` at scale `ln c`.
+    fn new(model: &Model, ln_c: f64, vals: Vec<S>) -> Self {
+        let max_a = model
+            .workload()
+            .classes()
+            .iter()
+            .map(|c| c.bandwidth as usize)
+            .max()
+            .unwrap_or(0);
+        Ray {
+            dims: model.dims(),
+            ln_c,
+            vals,
+            shifts: (0..=max_a).map(|k| shift(k as f64, ln_c)).collect(),
+        }
+    }
+
     /// The full ray of `model`: its classes installed, in order, on the
     /// empty ray. Bit-for-bit the full ray [`Rays::build`] keeps.
     fn of(model: &Model, ln_c: f64) -> Self {
         let empty = empty_ray(model.dims(), ln_c);
-        Ray {
-            dims: model.dims(),
+        Ray::new(
+            model,
             ln_c,
-            vals: install_all(empty, model.workload().classes(), ln_c),
-        }
+            install_all(empty, model.workload().classes(), ln_c),
+        )
     }
 
     /// Ray index of the lattice point `p`, panicking (like
@@ -105,13 +136,25 @@ impl<S: QScalar> Ray<S> {
 
     /// `Q(ray num) / Q(ray den)` with the scale shift undone.
     fn index_ratio(&self, num: usize, den: usize) -> f64 {
-        let shift = 2.0 * (num as f64 - den as f64) * self.ln_c;
-        self.vals[num].ratio_to(self.vals[den]) * shift.exp()
+        let shift = match num.checked_sub(den).and_then(|k| self.shifts.get(k)) {
+            Some(&s) => s,
+            None => shift(num as f64 - den as f64, self.ln_c),
+        };
+        self.vals[num].ratio_to(self.vals[den]) * shift
     }
 
     fn is_healthy(&self) -> bool {
-        self.vals.iter().all(|v| v.healthy())
+        healthy(&self.vals)
     }
+}
+
+/// The scale correction `c^{2k}` between ray points `k` apart.
+fn shift(k: f64, ln_c: f64) -> f64 {
+    (2.0 * k * ln_c).exp()
+}
+
+fn healthy<S: QScalar>(vals: &[S]) -> bool {
+    vals.iter().all(|v| v.healthy())
 }
 
 impl<S: QScalar> QRatio for Ray<S> {
@@ -136,7 +179,7 @@ impl<S: QScalar> QRatio for Ray<S> {
 /// model `j − 1 < max N ≤ S` keeps every factor non-negative in range.
 fn phi_series<S: QScalar>(len: usize, a: usize, rho: f64, y: f64, ln_c: f64) -> Vec<S> {
     let jmax = (len - 1) / a;
-    let factor = (2.0 * a as f64 * ln_c).exp();
+    let factor = shift(a as f64, ln_c);
     let mut phi = Vec::with_capacity(jmax + 1);
     let mut cur = S::from_ln(0.0);
     phi.push(cur);
@@ -148,19 +191,28 @@ fn phi_series<S: QScalar>(len: usize, a: usize, rho: f64, y: f64, ln_c: f64) -> 
     phi
 }
 
-/// Install class `(a, rho, y)` on top of the partial ray `base`:
+#[cfg(test)]
+thread_local! {
+    /// Class installs made on this thread (recombinations included).
+    static INSTALLS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Install class `c` on top of the partial ray `base`:
 /// `out[d] = Σ_{j ≥ 0} phi[j] · base[d + j·a]` (deeper ray points are
 /// *smaller* switches; indices past the ray end are outside the
 /// sub-switch and contribute zero — exact truncation, not an
 /// approximation).
-fn install_class<S: QScalar>(base: &[S], a: usize, rho: f64, y: f64, ln_c: f64) -> Vec<S> {
-    let phi = phi_series::<S>(base.len(), a, rho, y, ln_c);
+fn install_class<S: QScalar>(base: &[S], c: &TrafficClass, ln_c: f64) -> Vec<S> {
+    #[cfg(test)]
+    INSTALLS.with(|n| n.set(n.get() + 1));
+    let a = c.bandwidth as usize;
+    let phi = phi_series::<S>(base.len(), a, c.rho(), c.beta / c.mu, ln_c);
     S::combine(base, &phi, a, true)
 }
 
 fn install_all<S: QScalar>(mut ray: Vec<S>, classes: &[TrafficClass], ln_c: f64) -> Vec<S> {
     for c in classes {
-        ray = install_class(&ray, c.bandwidth as usize, c.rho(), c.beta / c.mu, ln_c);
+        ray = install_class(&ray, c, ln_c);
     }
     ray
 }
@@ -191,67 +243,87 @@ pub(crate) fn full_ray(model: &Model) -> Backend {
     Backend::RayExt(Ray::of(model, 0.0))
 }
 
-/// One backend's precompute: the full ray of the base model and its
-/// leave-one-out rays `loo[r] = Q_{-r}`.
+/// One backend's precompute of a base model: the full ray and the
+/// prefix chain, built eagerly, and the leave-one-out rays
+/// `loo[r] = Q_{-r}`, built on first use.
 struct Rays<S> {
     full: Ray<S>,
-    loo: Vec<Vec<S>>,
+    classes: Vec<TrafficClass>,
+    /// `pre[i] = Q_{classes[..i]}` for `i < R`; `pre[R−1]` is `Q_{-(R−1)}`.
+    pre: Vec<Vec<S>>,
+    /// `Q_{-r}` for `r < R − 1`: `None` once built if it is unhealthy.
+    loo: Vec<OnceLock<Option<Vec<S>>>>,
 }
 
 impl<S: QScalar> Rays<S> {
-    /// Build every leave-one-out ray plus the full ray via the
-    /// prefix/suffix trick: `pre[i] = Q_{classes[..i]}`, then
-    /// `loo[r] = fold(pre[r], classes[r+1..])`. `O(R²·C²)` total work,
-    /// paid once per base model.
+    /// Install the classes one by one on the empty ray, keeping each
+    /// prefix `pre[i]`: `R` installs, the same as [`Ray::of`].
     fn build(model: &Model, ln_c: f64) -> Self {
         let classes = model.workload().classes();
-        let mut pre: Vec<S> = empty_ray(model.dims(), ln_c);
-        let mut loo = Vec::with_capacity(classes.len());
-        for r in 0..classes.len() {
-            loo.push(install_all(pre.clone(), &classes[r + 1..], ln_c));
-            pre = install_all(pre, &classes[r..r + 1], ln_c);
+        let mut pre = Vec::with_capacity(classes.len());
+        let mut ray: Vec<S> = empty_ray(model.dims(), ln_c);
+        for c in classes {
+            let next = install_class(&ray, c, ln_c);
+            pre.push(std::mem::replace(&mut ray, next));
         }
-        let full = Ray {
-            dims: model.dims(),
-            ln_c,
-            vals: pre,
-        };
-        Rays { full, loo }
+        Rays {
+            full: Ray::new(model, ln_c, ray),
+            classes: classes.to_vec(),
+            pre,
+            loo: (1..classes.len()).map(|_| OnceLock::new()).collect(),
+        }
     }
 
+    /// Whether the eagerly built rays (the full ray and `Q_{-(R−1)}`)
+    /// are healthy; each other `Q_{-r}` is checked when it is built.
     fn is_healthy(&self) -> bool {
-        self.full.is_healthy() && self.loo.iter().all(|l| l.iter().all(|v| v.healthy()))
+        self.full.is_healthy() && self.pre.last().is_none_or(|l| healthy(l))
+    }
+
+    /// `Q_{-r}`, built on first use as `pre[r]` with the classes after
+    /// `r` installed (`R − 1 − r` installs, counted as
+    /// `sweep.loo_build`); `Underflow` where that ray is unhealthy.
+    fn loo(&self, r: usize) -> Result<&[S], SolveError> {
+        let Some(lazy) = self.loo.get(r) else {
+            return Ok(&self.pre[r]);
+        };
+        lazy.get_or_init(|| {
+            xbar_obs::inc("sweep.loo_build");
+            let ray = xbar_obs::time("sweep.loo_build", || {
+                install_all(self.pre[r].clone(), &self.classes[r + 1..], self.full.ln_c)
+            });
+            healthy(&ray).then_some(ray)
+        })
+        .as_deref()
+        .ok_or(SolveError::Underflow(Algorithm::Alg1Scaled))
     }
 
     /// The ray of `model`, which differs from the base model at most in
     /// class `r = edit`: the cached full ray when `edit` is `None`, else
-    /// `model`'s class `r` installed on `loo[r]` by one `O(C²/a)`
-    /// recombination. Only a scaled ray can leave its envelope.
+    /// `model`'s class `r` installed on `Q_{-r}` by one `O(C²/a)`
+    /// recombination. Only a scaled ray can leave its envelope, at
+    /// `Q_{-r}` or at the recombination.
     fn point(&self, model: &Model, edit: Option<usize>) -> Result<Ray<S>, SolveError> {
         let Some(r) = edit else {
             xbar_obs::inc("sweep.reuse");
             return Ok(self.full.clone());
         };
+        let loo = self.loo(r)?;
         xbar_obs::inc("sweep.recombine");
         let class = &model.workload().classes()[r];
-        let vals = xbar_obs::time("sweep.recombine", || {
-            install_class(
-                &self.loo[r],
-                class.bandwidth as usize,
-                class.rho(),
-                class.beta / class.mu,
-                self.full.ln_c,
-            )
-        });
-        let ray = Ray {
-            dims: self.full.dims,
-            ln_c: self.full.ln_c,
-            vals,
-        };
+        let ln_c = self.full.ln_c;
+        let vals = xbar_obs::time("sweep.recombine", || install_class(loo, class, ln_c));
+        let ray = Ray::new(model, ln_c, vals);
         if !ray.is_healthy() {
             return Err(SolveError::Underflow(Algorithm::Alg1Scaled));
         }
         Ok(ray)
+    }
+
+    /// [`SweepSolver::gradients`] of `model` (the base model) on these
+    /// rays; `Underflow` where `Q_{-s}` is unhealthy.
+    fn gradients(&self, model: &Model, s: usize) -> Result<SweepGradients, SolveError> {
+        Ok(gradients_impl(model, &self.full, self.loo(s)?, s))
     }
 }
 
@@ -260,8 +332,9 @@ enum Repr {
     Ext(Rays<ExtFloat>),
 }
 
-/// Precomputed per-class partial convolutions for incremental parameter
-/// sweeps over one class at a time.
+/// Per-class partial convolutions for incremental parameter sweeps over
+/// one class at a time: the full ray and prefix chain precomputed, each
+/// leave-one-out ray built on the first edit of its class.
 ///
 /// ```
 /// use xbar_core::{Algorithm, Dims, Model, SweepSolver};
@@ -286,22 +359,26 @@ pub struct SweepSolver {
     repr: Repr,
     /// `Auto`'s extended-range rays of `base`, built on the first scaled
     /// point or gradient that leaves the envelope and shared by every
-    /// later one.
+    /// later one (their leave-one-out rays, too, on first use).
     fallback: OnceLock<Rays<ExtFloat>>,
 }
 
 impl SweepSolver {
-    /// Precompute the leave-one-out partial rays for `model`.
+    /// Precompute the full ray and prefix chain of `model` (`R` class
+    /// installs); each leave-one-out ray `Q_{-r}` is built on the first
+    /// point or gradient of class `r`.
     ///
     /// `Alg1F64`, `Alg1Scaled` and `Auto` build scaled-`f64` rays at
     /// every `N`; everything else builds extended range. An explicit
     /// scaled request fails with [`SolveError::Underflow`] where the
-    /// scaled rays leave their operating envelope, at precompute or at
-    /// a recombination. `Auto` falls back to extended range instead: an
-    /// unhealthy precompute is rebuilt in extended range, and an
-    /// unhealthy recombination is redone against extended-range rays of
-    /// the base model, built once per solver on first need. Either
-    /// fallback counts `sweep.escalate` once.
+    /// scaled rays leave their operating envelope: at precompute, at a
+    /// lazily built `Q_{-r}` (for the points of class `r`) or at a
+    /// recombination. `Auto` falls back to extended range instead: an
+    /// unhealthy precompute is rebuilt in extended range, and a point or
+    /// gradient whose `Q_{-r}` or recombination is unhealthy is redone
+    /// against extended-range rays of the base model, built once per
+    /// solver on first need. Either fallback counts `sweep.escalate`
+    /// once.
     pub fn new(model: &Model, algorithm: Algorithm) -> Result<Self, SolveError> {
         Self::with_scale(model, algorithm, scale_ln_c(model.dims()))
     }
@@ -329,6 +406,16 @@ impl SweepSolver {
             }
             Ok(solver(Repr::Ext(Rays::build(model, 0.0))))
         })
+    }
+
+    /// Build class `r`'s leave-one-out ray now instead of at its first
+    /// point. An unhealthy one is kept as such, and the points of class
+    /// `r` then fail or fall back as usual.
+    pub(crate) fn build_leave_out(&self, r: usize) {
+        let _ = match &self.repr {
+            Repr::Scaled(rays) => rays.loo(r).is_ok(),
+            Repr::Ext(rays) => rays.loo(r).is_ok(),
+        };
     }
 
     /// `Auto`'s extended-range rays of the base model, built on first
@@ -361,9 +448,9 @@ impl SweepSolver {
     }
 
     /// Replace class `r` with `class` (any `α`, `β`, `μ`, `a_r`, weight)
-    /// and solve by one `O(C²/a)` recombination against the cached
-    /// leave-one-out ray. The replacement is validated like
-    /// [`Model::new`].
+    /// and solve by one `O(C²/a)` recombination against the
+    /// leave-one-out ray (built on the first edit of class `r`). The
+    /// replacement is validated like [`Model::new`].
     pub fn solve_with_class(&self, r: usize, class: TrafficClass) -> Result<Solution, SolveError> {
         let mut classes = self.base.workload().classes().to_vec();
         classes[r] = class;
@@ -442,21 +529,27 @@ impl SweepSolver {
     ///   the direct `∂λ_r/∂θ` drive when `r = s`;
     /// * `∂W/∂θ = Σ_r w_r · ∂E_r/∂θ`.
     ///
-    /// Under `Auto`, gradients that come out non-finite on scaled rays
-    /// (a derivative ray overflowed) are redone on the extended-range
-    /// fallback rays.
+    /// Under `Auto`, gradients whose scaled `Q_{-s}` is unhealthy, or
+    /// that come out non-finite on scaled rays (a derivative ray
+    /// overflowed), are redone on the extended-range fallback rays. An
+    /// explicit scaled request returns them non-finite (every entry NaN
+    /// where `Q_{-s}` is unhealthy).
     pub fn gradients(&self, s: usize) -> SweepGradients {
+        self.try_gradients(s)
+            .unwrap_or_else(|_| SweepGradients::nan(self.base.num_classes()))
+    }
+
+    /// [`SweepSolver::gradients`], with an explicit scaled request's
+    /// unhealthy `Q_{-s}` reported as [`SolveError::Underflow`].
+    pub(crate) fn try_gradients(&self, s: usize) -> Result<SweepGradients, SolveError> {
         xbar_obs::inc("sweep.gradients");
         match &self.repr {
-            Repr::Scaled(rays) => {
-                let g = gradients_impl(&self.base, &rays.full, &rays.loo[s], s);
-                if self.algorithm != Algorithm::Auto || g.is_finite() {
-                    return g;
-                }
-                let ext = self.fallback();
-                gradients_impl(&self.base, &ext.full, &ext.loo[s], s)
-            }
-            Repr::Ext(rays) => gradients_impl(&self.base, &rays.full, &rays.loo[s], s),
+            Repr::Scaled(rays) => match rays.gradients(&self.base, s) {
+                Ok(g) if g.is_finite() => Ok(g),
+                scaled if self.algorithm != Algorithm::Auto => scaled,
+                _ => self.fallback().gradients(&self.base, s),
+            },
+            Repr::Ext(rays) => rays.gradients(&self.base, s),
         }
     }
 }
@@ -467,7 +560,7 @@ impl SweepSolver {
 /// `c_j = factor·(ρ + y·(j−1))/j`.
 fn dphi_series<S: QScalar>(len: usize, a: usize, rho: f64, y: f64, ln_c: f64) -> (Vec<S>, Vec<S>) {
     let jmax = (len - 1) / a;
-    let factor = (2.0 * a as f64 * ln_c).exp();
+    let factor = shift(a as f64, ln_c);
     let mut phi = S::from_ln(0.0);
     let mut d_rho = Vec::with_capacity(jmax + 1);
     let mut d_y = Vec::with_capacity(jmax + 1);
@@ -663,8 +756,9 @@ impl SweepGrid {
     }
 
     /// Get-or-build the solver whose leave-one-out ray `G_{-r}` matches
-    /// `(model, r)`. A hit counts `sweep.grid.reuse`; a miss builds the
-    /// full precompute and counts `sweep.grid.build`.
+    /// `(model, r)`. A hit counts `sweep.grid.reuse`; a miss runs the
+    /// precompute and counts `sweep.grid.build` (`G_{-r}` itself is
+    /// built by [`SweepGrid::warm`] or by the entry's first cell).
     ///
     /// The accounting is race-free under concurrent callers: when two
     /// threads miss on the same key simultaneously, both build, but only
@@ -709,9 +803,11 @@ impl SweepGrid {
 
     /// Pre-build every *distinct* missing `G_{-r}` entry for the given
     /// `(model, r)` pairs in parallel over the persistent worker pool
-    /// (via [`crate::fleet`]'s shards). Returns how many entries this
-    /// call actually built (races lost to concurrent inserters are not
-    /// counted, matching the `sweep.grid.build` counter). Build failures
+    /// (via [`crate::fleet`]'s shards): each entry's precompute and its
+    /// leave-one-out ray `G_{-r}`, so the cells only recombine. Returns
+    /// how many entries this call actually built (races lost to
+    /// concurrent inserters are not counted, matching the
+    /// `sweep.grid.build` counter). Build failures
     /// are left out of the cache and resurface as per-cell errors on the
     /// subsequent [`SweepGrid::solve_cell`].
     pub fn warm(&self, pairs: &[(Model, usize)]) -> usize {
@@ -725,6 +821,18 @@ impl SweepGrid {
         }
         let models: Vec<Model> = missing.iter().map(|&(_, i)| pairs[i].0.clone()).collect();
         let built = crate::fleet::sweep_many(&models, self.algorithm);
+        let lazy: Vec<(usize, usize)> = missing
+            .iter()
+            .enumerate()
+            .map(|(k, &(_, i))| (k, pairs[i].1))
+            .filter(|&(k, r)| r + 1 < models[k].num_classes())
+            .collect();
+        crate::fleet::shard_map(lazy.len(), |j| {
+            let (k, r) = lazy[j];
+            if let Ok(solver) = &built[k] {
+                solver.build_leave_out(r);
+            }
+        });
         let mut won = 0;
         for ((key, _), solver) in missing.iter().zip(built) {
             if let Ok(s) = solver {
@@ -792,6 +900,18 @@ pub struct SweepGradients {
 }
 
 impl SweepGradients {
+    /// Every entry NaN: the gradients of a ray that left its envelope.
+    fn nan(classes: usize) -> Self {
+        SweepGradients {
+            nonblocking_by_rho: vec![f64::NAN; classes],
+            nonblocking_by_beta: vec![f64::NAN; classes],
+            concurrency_by_rho: vec![f64::NAN; classes],
+            concurrency_by_beta: vec![f64::NAN; classes],
+            revenue_by_rho: f64::NAN,
+            revenue_by_beta: f64::NAN,
+        }
+    }
+
     fn is_finite(&self) -> bool {
         [
             &self.nonblocking_by_rho,
@@ -1098,6 +1218,8 @@ mod tests {
         let grid = SweepGrid::new(Algorithm::Auto);
         let pairs: Vec<(Model, usize)> = cells.iter().map(|(m, r, _)| (m.clone(), *r)).collect();
         assert_eq!(grid.warm(&pairs), 4);
+        // The warm builds each entry's G_{-1} too; the cells only recombine.
+        assert_eq!(reg.snapshot().counter("sweep.loo_build"), Some(4));
         let batch: Vec<Solution> = cells
             .iter()
             .map(|(model, r, class)| grid.solve_cell(model, *r, class.clone()).unwrap())
@@ -1105,6 +1227,7 @@ mod tests {
         assert_eq!(grid.len(), 4);
         let snap = reg.snapshot();
         assert_eq!(snap.counter("sweep.grid.build"), Some(4));
+        assert_eq!(snap.counter("sweep.loo_build"), Some(4));
         let serial = SweepGrid::new(Algorithm::Auto);
         for (got, (model, r, class)) in batch.iter().zip(&cells) {
             let want = serial.solve_cell(model, *r, class.clone()).unwrap();
@@ -1160,6 +1283,130 @@ mod tests {
             (THREADS * CALLS_PER_THREAD) as u64,
             "every solver() call counts exactly one of build/reuse"
         );
+    }
+
+    /// The eager reference: every `Q_{-r}` built up front by the
+    /// prefix/suffix trick, `loo[r] = fold(pre[r], classes[r+1..])`.
+    fn eager_loo<S: QScalar>(model: &Model, ln_c: f64) -> Vec<Vec<S>> {
+        let classes = model.workload().classes();
+        let mut pre: Vec<S> = empty_ray(model.dims(), ln_c);
+        let mut loo = Vec::new();
+        for r in 0..classes.len() {
+            loo.push(install_all(pre.clone(), &classes[r + 1..], ln_c));
+            pre = install_all(pre, &classes[r..r + 1], ln_c);
+        }
+        loo
+    }
+
+    /// The first `r_count` classes of [`mixed_model`].
+    fn first_classes(r_count: usize) -> Model {
+        let full = mixed_model(10, 10);
+        let classes = full.workload().classes()[..r_count].to_vec();
+        Model::new(full.dims(), Workload::from_classes(classes)).unwrap()
+    }
+
+    fn installs() -> usize {
+        INSTALLS.with(|n| n.get())
+    }
+
+    #[test]
+    fn lazy_loo_rays_are_bit_identical_to_the_eager_build() {
+        for r_count in 1..=4 {
+            let model = first_classes(r_count);
+            let ln_c = scale_ln_c(model.dims());
+            let scaled = Rays::<f64>::build(&model, ln_c);
+            for (r, want) in eager_loo::<f64>(&model, ln_c).iter().enumerate() {
+                let got = scaled.loo(r).unwrap();
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(got), bits(want), "R = {r_count}, r = {r}");
+            }
+            let ext = Rays::<ExtFloat>::build(&model, 0.0);
+            for (r, want) in eager_loo::<ExtFloat>(&model, 0.0).iter().enumerate() {
+                assert_eq!(ext.loo(r).unwrap(), &want[..], "R = {r_count}, r = {r}");
+            }
+        }
+    }
+
+    #[test]
+    fn installs_are_r_at_precompute_and_the_suffix_on_first_use() {
+        for r_count in 1..=4 {
+            let model = first_classes(r_count);
+            for r in 0..r_count {
+                let before = installs();
+                let sweep = SweepSolver::new(&model, Algorithm::Auto).unwrap();
+                assert_eq!(installs() - before, r_count, "precompute, R = {r_count}");
+                let before = installs();
+                sweep.solve_with_rho(r, 0.3).unwrap();
+                // R − 1 − r suffix installs, then the recombination.
+                let first = r_count - 1 - r + 1;
+                assert_eq!(installs() - before, first, "R = {r_count}, r = {r}");
+                let before = installs();
+                sweep.solve_with_rho(r, 0.4).unwrap();
+                assert_eq!(installs() - before, 1, "R = {r_count}, r = {r}");
+            }
+            let sweep = SweepSolver::new(&model, Algorithm::Auto).unwrap();
+            let before = installs();
+            for s in 0..r_count {
+                sweep.gradients(s);
+            }
+            assert_eq!(installs() - before, r_count * (r_count - 1) / 2);
+        }
+    }
+
+    #[test]
+    fn unhealthy_lazy_loo_ray_escalates_auto_and_fails_explicit_scaled() {
+        // A heavy class 0 and a light class 1 at N = 8: at a scale far
+        // below §6's, Q̂_{-0}(8, 8) (the light class alone) lands among the
+        // subnormals while the heavy full ray and Q_{-1} = pre[1] stay
+        // normal, so only the lazily built Q_{-0} is unhealthy.
+        let w = Workload::new()
+            .with(TrafficClass::poisson(50.0))
+            .with(TrafficClass::poisson(1e-3));
+        let model = Model::new(Dims::square(8), w).unwrap();
+        let q_top = eager_loo::<f64>(&model, 0.0)[0][0];
+        let ln_c = (-720.0 - q_top.ln()) / 16.0;
+        let rays = Rays::<f64>::build(&model, ln_c);
+        assert!(rays.is_healthy());
+        assert!(rays.loo(0).is_err());
+        assert!(rays.loo(1).is_ok());
+
+        let reg = std::sync::Arc::new(xbar_obs::Registry::new());
+        let _g = xbar_obs::scope(&reg);
+        let auto = SweepSolver::with_scale(&model, Algorithm::Auto, ln_c).unwrap();
+        assert_eq!(auto.algorithm(), Algorithm::Alg1Scaled);
+        assert_eq!(reg.snapshot().counter("sweep.escalate"), None);
+        let ext = SweepSolver::new(&model, Algorithm::Alg1Ext).unwrap();
+        let point = auto.solve_with_rho(0, 40.0).unwrap();
+        let want = ext.solve_with_rho(0, 40.0).unwrap();
+        for r in 0..2 {
+            assert_eq!(
+                point.nonblocking(r).to_bits(),
+                want.nonblocking(r).to_bits()
+            );
+            assert_eq!(
+                point.concurrency(r).to_bits(),
+                want.concurrency(r).to_bits()
+            );
+        }
+        let got = auto.gradients(0);
+        let want = ext.gradients(0);
+        assert_eq!(got.revenue_by_rho.to_bits(), want.revenue_by_rho.to_bits());
+        assert_eq!(reg.snapshot().counter("sweep.escalate"), Some(1));
+        // Class 1's points read the healthy eager Q_{-1}.
+        auto.solve_with_rho(1, 2e-3).unwrap();
+        assert_eq!(reg.snapshot().counter("sweep.escalate"), Some(1));
+
+        let scaled = SweepSolver::with_scale(&model, Algorithm::Alg1Scaled, ln_c).unwrap();
+        assert!(scaled.solve_with_rho(1, 2e-3).is_ok());
+        assert!(matches!(
+            scaled.solve_with_rho(0, 40.0),
+            Err(SolveError::Underflow(Algorithm::Alg1Scaled))
+        ));
+        assert!(!scaled.gradients(0).is_finite());
+        assert!(matches!(
+            crate::sensitivity_from(&scaled),
+            Err(SolveError::Underflow(Algorithm::Alg1Scaled))
+        ));
     }
 
     /// The light base of the recombination-fallback tests: scaled rays
