@@ -60,8 +60,13 @@ fn bench_fleet_sweep_point(c: &mut Criterion) {
     g.finish();
 }
 
-/// The raw recombination kernels at a figure-sized ray: the strict
-/// kernel the sweep runs and its scalar reference.
+/// The raw recombination kernels: the strict kernel the sweep runs and
+/// its scalar reference, on synthetic `1/(i+1)` coefficients at a
+/// figure-sized ray (no term underflows, so every multiply-add runs),
+/// and on a real `N = 512` install — plan-grid's Poisson class 0
+/// (`ρ = 5·10⁻⁵`) on the empty ray `c^{2n}/(n!)²`, at the §6 scale
+/// `ln c = ln 512 − 1` — whose `Φ` series decays through the subnormal
+/// range to zeros, where the strict kernel stops early.
 fn bench_kernels(c: &mut Criterion) {
     let mut g = c.benchmark_group("fleet_kernels");
     let len = 257usize;
@@ -73,6 +78,28 @@ fn bench_kernels(c: &mut Criterion) {
     });
     g.bench_function("strict", |b| {
         b.iter(|| black_box(combine_strict(&base, &coef, 1, true)))
+    });
+
+    let n = 512usize;
+    let ln_c = (n as f64).ln() - 1.0;
+    let mut ln_fact = vec![0.0f64; n + 1];
+    for k in 1..=n {
+        ln_fact[k] = ln_fact[k - 1] + (k as f64).ln();
+    }
+    let ray: Vec<f64> = (0..=n)
+        .map(|d| (2.0 * (n - d) as f64 * ln_c - 2.0 * ln_fact[n - d]).exp())
+        .collect();
+    let x = 5e-5 * (2.0 * ln_c).exp();
+    let mut phi = vec![1.0f64];
+    for j in 1..=n {
+        phi.push(phi[j - 1] * x / j as f64);
+    }
+    g.throughput(Throughput::Elements(ray.len() as u64));
+    g.bench_function("scalar_phi512", |b| {
+        b.iter(|| black_box(combine_scalar(&ray, &phi, 1, true)))
+    });
+    g.bench_function("strict_phi512", |b| {
+        b.iter(|| black_box(combine_strict(&ray, &phi, 1, true)))
     });
     g.finish();
 }

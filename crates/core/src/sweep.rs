@@ -40,11 +40,12 @@
 //! `d = 0..=min(N1, N2)` (targets shrink by `a·I` steps from the full
 //! dims). The ray is *closed* under the class-deletion convolution, so
 //! the solver stores `O(min N)` values per class instead of `O(N1·N2)`
-//! and a recombination costs `O(C²/a_r)` multiply-adds — this is what
-//! buys the large per-point speedup over a fresh lattice solve. The same
-//! closure makes the full ray alone the production solver:
-//! `solve(model, Auto)` installs the `R` classes once on the empty ray
-//! (`full_ray`) and reads every measure from it.
+//! and a recombination costs at most `O(C²/a_r)` multiply-adds (the
+//! kernel stops where the `Φ_r` terms can no longer change a bit; see
+//! [`crate::simd`]) — this is what buys the large per-point speedup
+//! over a fresh lattice solve. The same closure makes the full ray alone
+//! the production solver: `solve(model, Auto)` installs the `R` classes
+//! once on the empty ray (`full_ray`) and reads every measure from it.
 //!
 //! Two numeric backends mirror Algorithm 1's, over the same
 //! [`QScalar`] trait: scaled `f64` (the §6 geometric schedule, same
@@ -218,7 +219,8 @@ fn install_all<S: QScalar>(mut ray: Vec<S>, classes: &[TrafficClass], ln_c: f64)
 }
 
 /// The empty-workload ray: `Q_∅(n1, n2) = 1/(n1!·n2!)`, at scale
-/// `c^{n1+n2}`.
+/// `c^{n1+n2}`. On a square switch `n1 = n2` at every point, so each
+/// point takes one `ln n!`.
 fn empty_ray<S: QScalar>(dims: Dims, ln_c: f64) -> Vec<S> {
     let c = dims.min_n() as usize;
     (0..=c)
@@ -226,7 +228,13 @@ fn empty_ray<S: QScalar>(dims: Dims, ln_c: f64) -> Vec<S> {
             let n1 = (dims.n1 as usize - d) as u64;
             let n2 = (dims.n2 as usize - d) as u64;
             let sum = (n1 + n2) as f64;
-            S::from_ln(sum * ln_c - xbar_numeric::ln_factorial(n1) - xbar_numeric::ln_factorial(n2))
+            let ln1 = xbar_numeric::ln_factorial(n1);
+            let ln2 = if n2 == n1 {
+                ln1
+            } else {
+                xbar_numeric::ln_factorial(n2)
+            };
+            S::from_ln(sum * ln_c - ln1 - ln2)
         })
         .collect()
 }
@@ -300,9 +308,9 @@ impl<S: QScalar> Rays<S> {
 
     /// The ray of `model`, which differs from the base model at most in
     /// class `r = edit`: the cached full ray when `edit` is `None`, else
-    /// `model`'s class `r` installed on `Q_{-r}` by one `O(C²/a)`
-    /// recombination. Only a scaled ray can leave its envelope, at
-    /// `Q_{-r}` or at the recombination.
+    /// `model`'s class `r` installed on `Q_{-r}` by one recombination of
+    /// at most `O(C²/a)` multiply-adds. Only a scaled ray can leave its
+    /// envelope, at `Q_{-r}` or at the recombination.
     fn point(&self, model: &Model, edit: Option<usize>) -> Result<Ray<S>, SolveError> {
         let Some(r) = edit else {
             xbar_obs::inc("sweep.reuse");
@@ -448,7 +456,7 @@ impl SweepSolver {
     }
 
     /// Replace class `r` with `class` (any `α`, `β`, `μ`, `a_r`, weight)
-    /// and solve by one `O(C²/a)` recombination against the
+    /// and solve by one recombination (at most `O(C²/a)`) against the
     /// leave-one-out ray (built on the first edit of class `r`). The
     /// replacement is validated like [`Model::new`].
     pub fn solve_with_class(&self, r: usize, class: TrafficClass) -> Result<Solution, SolveError> {
@@ -790,8 +798,8 @@ impl SweepGrid {
     }
 
     /// Solve one grid cell: `model` with class `r` replaced by `class`,
-    /// through the shared `G_{-r}` entry (one `O(C²/a)` recombination on
-    /// a hit).
+    /// through the shared `G_{-r}` entry (one recombination of at most
+    /// `O(C²/a)` multiply-adds on a hit).
     pub fn solve_cell(
         &self,
         model: &Model,
