@@ -2,12 +2,12 @@
 //! other — the trade-off the paper discusses at the end of §5.1
 //! (Algorithm 1 for small switches, Algorithm 2's stability for large) and
 //! our three numeric backends for Algorithm 1, plus the brute-force
-//! oracle's exponential wall for scale.
+//! oracle's exponential wall for scale, and the measures pass on its own.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use xbar_bench::{mixed_model, table2_model};
+use xbar_bench::{mixed_model, plan_grid_model, table2_model};
 use xbar_core::brute::Brute;
 use xbar_core::sensitivity::sensitivity;
 use xbar_core::{solve, Algorithm};
@@ -101,6 +101,17 @@ fn bench_gradients(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_measures(c: &mut Criterion) {
+    // The measures pass alone: every solve, sweep point and plan cell
+    // ends in it, here at plan-grid's largest switch.
+    let model = plan_grid_model(512);
+    let sol = solve(&model, Algorithm::Auto).unwrap();
+    let dims = model.dims();
+    let mut g = c.benchmark_group("measures");
+    g.bench_function("ray512", |b| b.iter(|| black_box(sol.measures_at(dims))));
+    g.finish();
+}
+
 criterion_group!(
     name = benches;
     config = quick();
@@ -108,6 +119,7 @@ criterion_group!(
     bench_algorithms_by_size,
     bench_brute_force_wall,
     bench_multiclass_scaling,
-    bench_gradients
+    bench_gradients,
+    bench_measures
 );
 criterion_main!(benches);

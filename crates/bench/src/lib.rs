@@ -7,7 +7,7 @@
 //! from this crate.
 
 use xbar_core::{Dims, Model};
-use xbar_traffic::{TildeClass, Workload};
+use xbar_traffic::{TildeClass, TrafficClass, Workload};
 
 /// The Table 2 (set 1) model at size `n`: one Poisson class and one Pascal
 /// class at `ρ̃ = β̃ = .0012`, `w = (1, 10⁻⁴)`.
@@ -60,6 +60,21 @@ pub fn mixed_model(n: u32) -> Model {
     Model::new(Dims::square(n), workload).expect("valid fixture")
 }
 
+/// The planner benchmark's model at size `n`: a Poisson class, a peaky
+/// class and a wideband (`a = 2`) Poisson class, at the per-set loads of
+/// perfbench's plan-grid base model.
+pub fn plan_grid_model(n: u32) -> Model {
+    let workload = Workload::new()
+        .with(TrafficClass::poisson(5e-5))
+        .with(TrafficClass::bpp(2e-5, 1e-6, 1.0).with_weight(1.5))
+        .with(
+            TrafficClass::poisson(5e-11)
+                .with_bandwidth(2)
+                .with_weight(4.0),
+        );
+    Model::new(Dims::square(n), workload).expect("valid fixture")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -70,6 +85,7 @@ mod tests {
         assert!(solve(&table2_model(8), Algorithm::Auto).is_ok());
         assert!(solve(&fig1_model(16, -2.0e-6), Algorithm::Auto).is_ok());
         assert!(solve(&mixed_model(8), Algorithm::Auto).is_ok());
+        assert!(solve(&plan_grid_model(512), Algorithm::Auto).is_ok());
     }
 
     #[test]

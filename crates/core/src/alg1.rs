@@ -181,6 +181,19 @@ pub trait QRatio {
     /// `Q(num)/Q(den)`. A negative coordinate in `num` means `Q(num) = 0`
     /// so the ratio is 0. `den` must be a valid lattice point.
     fn q_ratio(&self, num: (i64, i64), den: (i64, i64)) -> f64;
+
+    /// The ratios down the diagonal from `target` in steps of `a·I`:
+    /// `out[t] = Q(target − (t+1)·a·I)/Q(target − t·a·I)` for
+    /// `t = 0..=min(target)/a` (the last one is always 0). The default
+    /// makes one [`QRatio::q_ratio`] call per point.
+    fn diagonal_ratios(&self, target: (i64, i64), a: i64, out: &mut Vec<f64>) {
+        let tmax = target.0.min(target.1) / a;
+        out.clear();
+        out.extend((0..=tmax).map(|t| {
+            let m = (target.0 - t * a, target.1 - t * a);
+            self.q_ratio((m.0 - a, m.1 - a), m)
+        }));
+    }
 }
 
 /// One lattice being swept: row-major `(N1+1) × (N2+1)` `Q` cells and,

@@ -22,9 +22,18 @@
 //!   rate is `P(N1,a_r)·P(N2,a_r)·(α_r + β_r·E_r)`, so
 //!   `acceptance = μ_r·E_r / [P(N1,a_r)·P(N2,a_r)·(α_r + β_r·E_r)]`;
 //!   for Poisson classes this equals `B_r` exactly.
+//!
+//! Every measure reads the ratios `h_t = Q(m − a_r·I)/Q(m)` down the
+//! diagonal `m = target − t·a_r·I`. [`measures_at`] takes them in one
+//! pass: one [`QRatio::diagonal_ratios`] vector per distinct bandwidth
+//! (a ray fills it with one slice pass), `B_r` from `h_0`, and the `R`
+//! concurrency recursions stepped together so their dependency chains
+//! overlap. Each class's arithmetic is the per-point evaluation's, term
+//! for term, so the results are bit-for-bit the same.
 
 use xbar_numeric::guard::{checked_nonneg, checked_prob, finite_or_err, GuardError};
 use xbar_numeric::permutation;
+use xbar_traffic::TrafficClass;
 
 use crate::alg1::QRatio;
 use crate::model::{Dims, Model};
@@ -67,12 +76,20 @@ impl SwitchMeasures {
     /// identifies the quantity and value, so a solve can name the failing
     /// backend and the measure it broke.
     pub fn validate(&self) -> Result<(), GuardError> {
+        // Each guard runs under the bare name; the indexed name
+        // (`"concurrency[1]"`) is built only for a failure.
+        let indexed = |r: usize| {
+            move |mut e: GuardError| {
+                e.what = format!("{}[{r}]", e.what);
+                e
+            }
+        };
         for (r, c) in self.classes.iter().enumerate() {
-            checked_prob(&format!("nonblocking[{r}]"), c.nonblocking)?;
-            checked_prob(&format!("blocking[{r}]"), c.blocking)?;
-            checked_prob(&format!("call_acceptance[{r}]"), c.call_acceptance)?;
-            checked_nonneg(&format!("concurrency[{r}]"), c.concurrency)?;
-            checked_nonneg(&format!("throughput[{r}]"), c.throughput)?;
+            checked_prob("nonblocking", c.nonblocking).map_err(indexed(r))?;
+            checked_prob("blocking", c.blocking).map_err(indexed(r))?;
+            checked_prob("call_acceptance", c.call_acceptance).map_err(indexed(r))?;
+            checked_nonneg("concurrency", c.concurrency).map_err(indexed(r))?;
+            checked_nonneg("throughput", c.throughput).map_err(indexed(r))?;
         }
         // Weights are user-chosen and may in principle be negative, so
         // revenue is only required to be finite.
@@ -97,35 +114,55 @@ pub fn measures_at(model: &Model, lat: &impl QRatio, dims: Dims) -> SwitchMeasur
         "measures_at {dims} outside solved lattice {full}"
     );
     let classes = model.workload().classes();
+    let target = (dims.n1 as i64, dims.n2 as i64);
+    // One ratio vector per distinct bandwidth, shared by its classes.
+    let mut ratios: Vec<(u32, Vec<f64>)> = Vec::new();
+    for class in classes {
+        if ratios.iter().all(|(a, _)| *a != class.bandwidth) {
+            let mut h = Vec::new();
+            lat.diagonal_ratios(target, class.bandwidth as i64, &mut h);
+            ratios.push((class.bandwidth, h));
+        }
+    }
+    let ratios_of = |a: u32| -> &[f64] {
+        let (_, h) = ratios
+            .iter()
+            .find(|(b, _)| *b == a)
+            .expect("ratios of every bandwidth");
+        h
+    };
+
     let mut out = Vec::with_capacity(classes.len());
     let mut revenue = 0.0;
     let mut total_throughput = 0.0;
-    for class in classes {
-        let a = class.bandwidth as i64;
-        let target = (dims.n1 as i64, dims.n2 as i64);
-        let h = lat.q_ratio((target.0 - a, target.1 - a), target);
-        let pp = permutation(dims.n1 as u64, class.bandwidth as u64)
-            * permutation(dims.n2 as u64, class.bandwidth as u64);
-        let nonblocking = if pp > 0.0 { h / pp } else { 0.0 };
+    for chunk in classes.chunks(LANES) {
+        let mut h: [&[f64]; LANES] = [&[]; LANES];
+        for (h, class) in h.iter_mut().zip(chunk) {
+            *h = ratios_of(class.bandwidth);
+        }
+        let concurrencies = concurrencies(chunk, &h);
+        for ((class, h), concurrency) in chunk.iter().zip(h).zip(concurrencies) {
+            let pp = permutation(dims.n1 as u64, class.bandwidth as u64)
+                * permutation(dims.n2 as u64, class.bandwidth as u64);
+            let nonblocking = if pp > 0.0 { h[0] / pp } else { 0.0 };
+            let throughput = class.mu * concurrency;
+            let offered = pp * (class.alpha + class.beta * concurrency);
+            let call_acceptance = if offered > 0.0 {
+                throughput / offered
+            } else {
+                1.0
+            };
 
-        let concurrency = concurrency_at(lat, target, a, class.rho(), class.beta / class.mu);
-        let throughput = class.mu * concurrency;
-        let offered = pp * (class.alpha + class.beta * concurrency);
-        let call_acceptance = if offered > 0.0 {
-            throughput / offered
-        } else {
-            1.0
-        };
-
-        revenue += class.weight * concurrency;
-        total_throughput += throughput;
-        out.push(ClassMeasures {
-            nonblocking,
-            blocking: 1.0 - nonblocking,
-            concurrency,
-            throughput,
-            call_acceptance,
-        });
+            revenue += class.weight * concurrency;
+            total_throughput += throughput;
+            out.push(ClassMeasures {
+                nonblocking,
+                blocking: 1.0 - nonblocking,
+                concurrency,
+                throughput,
+                call_acceptance,
+            });
+        }
     }
     SwitchMeasures {
         dims,
@@ -135,22 +172,30 @@ pub fn measures_at(model: &Model, lat: &impl QRatio, dims: Dims) -> SwitchMeasur
     }
 }
 
-/// `E_r` via the diagonal recursion
-/// `E_r(m) = [Q(m−aI)/Q(m)]·{ρ + (β/μ)·E_r(m−aI)}`, iterated up the chain
-/// `m = target − t·a·I` from the boundary (where `E = 0`) to `target`.
-fn concurrency_at(
-    lat: &impl QRatio,
-    target: (i64, i64),
-    a: i64,
-    rho: f64,
-    beta_over_mu: f64,
-) -> f64 {
-    let tmax = (target.0.min(target.1)) / a;
-    let mut e = 0.0;
-    for t in (0..=tmax).rev() {
-        let m = (target.0 - t * a, target.1 - t * a);
-        let h = lat.q_ratio((m.0 - a, m.1 - a), m);
-        e = h * (rho + beta_over_mu * e);
+/// Classes whose concurrency recursions [`concurrencies`] steps together.
+const LANES: usize = 4;
+
+/// `E_r` of up to [`LANES`] classes via the diagonal recursion
+/// `E_r(m) = h_t·{ρ_r + (β_r/μ_r)·E_r(m−a_rI)}`, `h_t = Q(m−a_rI)/Q(m)`
+/// at `m = target − t·a_r·I`, each iterated from its boundary `t =
+/// h.len() − 1` (where `E = 0`) to `t = 0`. The chains run in one loop,
+/// so their latencies overlap; each class's arithmetic is the same as
+/// alone.
+fn concurrencies(chunk: &[TrafficClass], h: &[&[f64]; LANES]) -> [f64; LANES] {
+    let mut rho = [0.0; LANES];
+    let mut y = [0.0; LANES];
+    for (l, class) in chunk.iter().enumerate() {
+        rho[l] = class.rho();
+        y[l] = class.beta / class.mu;
+    }
+    let mut e = [0.0; LANES];
+    let steps = h.iter().map(|h| h.len()).max().unwrap_or(0);
+    for t in (0..steps).rev() {
+        for l in 0..LANES {
+            if let Some(&h) = h[l].get(t) {
+                e[l] = h * (rho[l] + y[l] * e[l]);
+            }
+        }
     }
     e
 }
@@ -193,9 +238,15 @@ pub fn shadow_cost(model: &Model, lat: &impl QRatio, r: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alg1::QLattice;
+    use crate::alg1::{QLattice, ScaledQLattice};
+    use crate::alg2::Mva;
+    use crate::alg3::Convolution;
     use crate::brute::Brute;
-    use xbar_traffic::{TrafficClass, Workload};
+    use crate::solver::Backend;
+    use crate::sweep::Ray;
+    use crate::{solve, Algorithm, SweepSolver};
+    use proptest::prelude::{prop_assert_eq, TestCaseError};
+    use xbar_traffic::Workload;
 
     fn close(a: f64, b: f64, tol: f64) {
         let scale = a.abs().max(b.abs()).max(1e-12);
@@ -384,6 +435,188 @@ mod tests {
                 1e-12,
             );
         }
+    }
+
+    /// The per-point `E_r` oracle: [`concurrencies`]' recursion for one
+    /// class, one [`QRatio::q_ratio`] call per step.
+    fn concurrency_at(
+        lat: &impl QRatio,
+        target: (i64, i64),
+        a: i64,
+        rho: f64,
+        beta_over_mu: f64,
+    ) -> f64 {
+        let tmax = (target.0.min(target.1)) / a;
+        let mut e = 0.0;
+        for t in (0..=tmax).rev() {
+            let m = (target.0 - t * a, target.1 - t * a);
+            let h = lat.q_ratio((m.0 - a, m.1 - a), m);
+            e = h * (rho + beta_over_mu * e);
+        }
+        e
+    }
+
+    /// The per-point evaluation: one [`QRatio::q_ratio`] call per
+    /// diagonal step and one recursion per class, in class order. The
+    /// one-pass [`measures_at`] must equal it bit for bit.
+    fn per_point_oracle(model: &Model, lat: &impl QRatio, dims: Dims) -> SwitchMeasures {
+        let target = (dims.n1 as i64, dims.n2 as i64);
+        let mut out = Vec::new();
+        let (mut revenue, mut total_throughput) = (0.0, 0.0);
+        for class in model.workload().classes() {
+            let a = class.bandwidth as i64;
+            let h = lat.q_ratio((target.0 - a, target.1 - a), target);
+            let pp = permutation(dims.n1 as u64, class.bandwidth as u64)
+                * permutation(dims.n2 as u64, class.bandwidth as u64);
+            let nonblocking = if pp > 0.0 { h / pp } else { 0.0 };
+            let concurrency = concurrency_at(lat, target, a, class.rho(), class.beta / class.mu);
+            let throughput = class.mu * concurrency;
+            let offered = pp * (class.alpha + class.beta * concurrency);
+            let call_acceptance = if offered > 0.0 {
+                throughput / offered
+            } else {
+                1.0
+            };
+            revenue += class.weight * concurrency;
+            total_throughput += throughput;
+            out.push(ClassMeasures {
+                nonblocking,
+                blocking: 1.0 - nonblocking,
+                concurrency,
+                throughput,
+                call_acceptance,
+            });
+        }
+        SwitchMeasures {
+            dims,
+            classes: out,
+            revenue,
+            total_throughput,
+        }
+    }
+
+    /// Every number of `m`, as bits (so `NaN`s and signed zeros count).
+    fn bits(m: &SwitchMeasures) -> Vec<u64> {
+        let mut out = vec![m.dims.n1 as u64, m.dims.n2 as u64];
+        for c in &m.classes {
+            out.extend(
+                [
+                    c.nonblocking,
+                    c.blocking,
+                    c.concurrency,
+                    c.throughput,
+                    c.call_acceptance,
+                ]
+                .map(f64::to_bits),
+            );
+        }
+        out.extend([m.revenue.to_bits(), m.total_throughput.to_bits()]);
+        out
+    }
+
+    /// A class of kind `0` Poisson, `1` Pascal or `2` Bernoulli (with
+    /// `max_n + extra` sources, so the model validates), offering `load`.
+    fn class_of(kind: u8, a: u32, load: f64, extra: u32, max_n: u32, w: f64) -> TrafficClass {
+        let class = match kind {
+            0 => TrafficClass::poisson(load),
+            1 => TrafficClass::bpp(load, 0.8 * load.min(1.0), 1.0),
+            _ => {
+                let sources = (max_n + extra) as f64;
+                TrafficClass::bpp(load, -load / sources, 1.0)
+            }
+        };
+        class.with_bandwidth(a).with_weight(w)
+    }
+
+    /// `measures_at` against [`per_point_oracle`] on `backend`, at the
+    /// full dims and at every diagonal sub-switch (with both sides
+    /// shrunk alike, as the ray requires).
+    fn check_on_ray(what: &str, model: &Model, backend: &Backend) -> Result<(), String> {
+        let dims = model.dims();
+        for d in 0..=dims.min_n() {
+            let sub = Dims::new(dims.n1 - d, dims.n2 - d);
+            let got = measures_at(model, backend, sub);
+            let want = per_point_oracle(model, backend, sub);
+            if bits(&got) != bits(&want) {
+                return Err(format!("{what} at {sub} of {dims}: {got:?} != {want:?}"));
+            }
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn measures_at_equals_the_per_point_oracle_bit_for_bit(
+            n in 1u32..=14,
+            wide in 0u32..=4,
+            tall in proptest::bool::ANY,
+            spec in proptest::collection::vec(
+                (0u8..3, 1u32..=3, -7.0f64..0.5, 0u32..4, 0.0f64..2.0),
+                1..=4,
+            ),
+        ) {
+            let dims = if tall { Dims::new(n + wide, n) } else { Dims::new(n, n + wide) };
+            let classes: Vec<_> = spec
+                .iter()
+                .map(|&(kind, a, ln_load, extra, w)| {
+                    let a = a.min(dims.min_n());
+                    class_of(kind, a, ln_load.exp(), extra, dims.max_n(), w)
+                })
+                .collect();
+            let m = Model::new(dims, Workload::from_classes(classes)).unwrap();
+            let ln_c = crate::alg1::scale_ln_c(dims);
+            let backends = [
+                ("alg1-f64", Backend::F64(QLattice::solve(&m))),
+                ("alg1-scaled", Backend::Scaled(ScaledQLattice::solve(&m))),
+                ("alg1-ext", Backend::Ext(QLattice::solve(&m))),
+                ("alg2-mva", Backend::Mva(Mva::solve(&m))),
+                ("alg3-convolution", Backend::Conv(Convolution::solve(&m))),
+                ("auto ray", Backend::RayScaled(Ray::of(&m, ln_c))),
+                ("extfloat auto ray", Backend::RayExt(Ray::of(&m, 0.0))),
+            ];
+            for (what, backend) in &backends {
+                check_on_ray(what, &m, backend).map_err(TestCaseError::fail)?;
+            }
+            // A lattice also answers off the diagonal.
+            for (what, backend) in &backends[..5] {
+                for sub in [Dims::new(dims.n1, dims.n2 - 1), Dims::new(dims.n1 - 1, 0)] {
+                    let got = measures_at(&m, backend, sub);
+                    let want = per_point_oracle(&m, backend, sub);
+                    prop_assert_eq!(bits(&got), bits(&want), "{} at {}", what, sub);
+                }
+            }
+            // What a solve and a sweep point hand out.
+            let auto = solve(&m, Algorithm::Auto).unwrap();
+            let want = per_point_oracle(&m, auto.backend(), dims);
+            prop_assert_eq!(bits(auto.measures()), bits(&want));
+            let sweep = SweepSolver::new(&m, Algorithm::Auto).unwrap();
+            let rho = 1.5 * m.workload().classes()[0].rho();
+            let point = sweep.solve_with_rho(0, rho).unwrap();
+            let want = per_point_oracle(point.model(), point.backend(), dims);
+            prop_assert_eq!(bits(point.measures()), bits(&want));
+            check_on_ray("sweep point", point.model(), point.backend())
+                .map_err(TestCaseError::fail)?;
+        }
+    }
+
+    #[test]
+    fn classes_sharing_a_bandwidth_and_more_than_four_classes() {
+        // Six classes run as two chunks of stepped recursions; three
+        // share a = 1 and two share a = 2.
+        let w = Workload::new()
+            .with(TrafficClass::poisson(0.3))
+            .with(TrafficClass::bpp(0.2, 0.1, 1.0).with_bandwidth(2))
+            .with(TrafficClass::bpp(0.4, -0.02, 1.0))
+            .with(TrafficClass::poisson(0.05).with_bandwidth(3))
+            .with(TrafficClass::poisson(0.1).with_bandwidth(2))
+            .with(TrafficClass::bpp(0.1, 0.05, 2.0));
+        let m = Model::new(Dims::new(11, 9), w).unwrap();
+        let ray = Backend::RayScaled(Ray::of(&m, crate::alg1::scale_ln_c(m.dims())));
+        check_on_ray("six classes", &m, &ray).unwrap();
+        let lat = Backend::Ext(QLattice::solve(&m));
+        check_on_ray("six classes", &m, &lat).unwrap();
     }
 
     #[test]

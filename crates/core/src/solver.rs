@@ -163,6 +163,18 @@ impl QRatio for Backend {
             Backend::RayExt(l) => l.q_ratio(num, den),
         }
     }
+
+    fn diagonal_ratios(&self, target: (i64, i64), a: i64, out: &mut Vec<f64>) {
+        match self {
+            Backend::F64(l) => l.diagonal_ratios(target, a, out),
+            Backend::Scaled(l) => l.diagonal_ratios(target, a, out),
+            Backend::Ext(l) => l.diagonal_ratios(target, a, out),
+            Backend::Mva(l) => l.diagonal_ratios(target, a, out),
+            Backend::Conv(l) => l.diagonal_ratios(target, a, out),
+            Backend::RayScaled(l) => l.diagonal_ratios(target, a, out),
+            Backend::RayExt(l) => l.diagonal_ratios(target, a, out),
+        }
+    }
 }
 
 /// A solved model: the lattice or ray plus the evaluated measures.
@@ -238,6 +250,12 @@ impl Solution {
     /// [`Algorithm::Auto`] stays `Auto`).
     pub fn algorithm(&self) -> Algorithm {
         self.algorithm
+    }
+
+    /// What the measures are read from.
+    #[cfg(test)]
+    pub(crate) fn backend(&self) -> &Backend {
+        &self.backend
     }
 
     /// All measures at the full dims.

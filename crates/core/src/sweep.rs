@@ -113,7 +113,7 @@ impl<S: QScalar> Ray<S> {
 
     /// The full ray of `model`: its classes installed, in order, on the
     /// empty ray. Bit-for-bit the full ray [`Rays::build`] keeps.
-    fn of(model: &Model, ln_c: f64) -> Self {
+    pub(crate) fn of(model: &Model, ln_c: f64) -> Self {
         let empty = empty_ray(model.dims(), ln_c);
         Ray::new(
             model,
@@ -168,6 +168,26 @@ impl<S: QScalar> QRatio for Ray<S> {
             return 0.0;
         }
         self.index_ratio(self.d_of(num), self.d_of(den))
+    }
+
+    /// One pass down the slice from `target`: each ratio is
+    /// [`Ray::index_ratio`]'s expression, with `target` checked once
+    /// instead of twice per point.
+    fn diagonal_ratios(&self, target: (i64, i64), a: i64, out: &mut Vec<f64>) {
+        out.clear();
+        if target.0.min(target.1) >= a {
+            let vals = &self.vals[self.d_of(target)..];
+            let a = a as usize;
+            let shift = match self.shifts.get(a) {
+                Some(&s) => s,
+                None => shift(a as f64, self.ln_c),
+            };
+            let nums = vals[a..].iter().step_by(a);
+            let dens = vals.iter().step_by(a);
+            out.extend(nums.zip(dens).map(|(&num, &den)| num.ratio_to(den) * shift));
+        }
+        // The last step leaves the ray: a negative coordinate, `Q = 0`.
+        out.push(0.0);
     }
 }
 

@@ -37,20 +37,40 @@ pub fn ln_gamma(x: f64) -> f64 {
     0.5 * (2.0 * std::f64::consts::PI).ln() + (x + 0.5) * t.ln() - t + acc.ln()
 }
 
+/// The `n` past which [`ln_factorial`] no longer computes `n!` exactly.
+const EXACT_FACTORIAL_MAX: u64 = 20;
+
+/// The largest `n` whose `ln n!` [`ln_factorial`] reads from its table.
+const LN_FACTORIAL_TABLE_MAX: u64 = 4096;
+
 /// `ln(n!)`.
 pub fn ln_factorial(n: u64) -> f64 {
     // Exact accumulation for small n (cheap and exact to f64), ln_gamma above.
     if n < 2 {
         return 0.0;
     }
-    if n <= 20 {
+    if n <= EXACT_FACTORIAL_MAX {
         let mut f = 1u64;
         for i in 2..=n {
             f *= i;
         }
         return (f as f64).ln();
     }
-    ln_gamma(n as f64 + 1.0)
+    match ln_factorial_table().get((n - EXACT_FACTORIAL_MAX - 1) as usize) {
+        Some(&ln) => ln,
+        None => ln_gamma(n as f64 + 1.0),
+    }
+}
+
+/// `ln n!` for `20 < n ≤ 4096` by [`ln_gamma`], computed once per
+/// process: the diagonal ray's empty workload takes one per ray point.
+fn ln_factorial_table() -> &'static [f64] {
+    static TABLE: std::sync::OnceLock<Vec<f64>> = std::sync::OnceLock::new();
+    TABLE.get_or_init(|| {
+        (EXACT_FACTORIAL_MAX + 1..=LN_FACTORIAL_TABLE_MAX)
+            .map(|n| ln_gamma(n as f64 + 1.0))
+            .collect()
+    })
 }
 
 /// `ln C(n, k)`; `-inf` when `k > n`.
@@ -184,6 +204,18 @@ mod tests {
             (std::f64::consts::PI.sqrt() / 2.0).ln(),
             1e-12,
         );
+    }
+
+    #[test]
+    fn ln_factorial_table_has_the_direct_paths_bits() {
+        for n in 0..=LN_FACTORIAL_TABLE_MAX + 2 {
+            let direct = if n <= EXACT_FACTORIAL_MAX {
+                ((2..=n).product::<u64>() as f64).ln()
+            } else {
+                ln_gamma(n as f64 + 1.0)
+            };
+            assert_eq!(ln_factorial(n).to_bits(), direct.to_bits(), "ln {n}!");
+        }
     }
 
     #[test]
