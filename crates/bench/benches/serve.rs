@@ -3,13 +3,16 @@
 //! fleet sizes. This is
 //! the cost of fault tolerance — compare against the bare engine numbers
 //! in `admission.rs` to see what the WAL and supervision layers add.
+//! Two layers of that path are also timed alone: the line parse and the
+//! WAL append.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
 use xbar_core::{Dims, Model};
 use xbar_serve::chaos::StreamPlan;
-use xbar_serve::{Daemon, DaemonConfig};
+use xbar_serve::daemon::parse_line;
+use xbar_serve::{Daemon, DaemonConfig, RecordKind, Wal, WalRecord};
 use xbar_traffic::{TrafficClass, Workload};
 
 fn quick() -> Criterion {
@@ -66,6 +69,70 @@ fn bench_ingest(c: &mut Criterion) {
     g.finish();
 }
 
+/// The parse layer alone: `parse_line` over a seeded stream of stamped
+/// lines with malformed ones mixed in.
+fn bench_parse(c: &mut Criterion) {
+    let mut g = c.benchmark_group("serve_parse");
+    const LINES: usize = 20_000;
+    let lines = StreamPlan {
+        seed: 6,
+        tenants: 100,
+        classes: 2,
+        lines: LINES,
+        malformed_p: 0.02,
+        ..StreamPlan::default()
+    }
+    .generate_lines();
+    g.throughput(Throughput::Elements(LINES as u64));
+    g.bench_function("lines_20k", |b| {
+        b.iter(|| {
+            lines
+                .iter()
+                .filter(|l| black_box(parse_line(black_box(l))).is_ok())
+                .count()
+        })
+    });
+    g.finish();
+}
+
+/// The WAL layer alone: 20,000 appends to a fresh file, with the group
+/// writes they trigger and one commit at the end.
+fn bench_wal(c: &mut Criterion) {
+    let mut g = c.benchmark_group("serve_wal");
+    g.sample_size(10);
+    const RECORDS: u64 = 20_000;
+    let recs: Vec<WalRecord> = (0..RECORDS)
+        .map(|seq| WalRecord {
+            seq,
+            kind: if seq.is_multiple_of(3) {
+                RecordKind::Departure
+            } else {
+                RecordKind::Arrival
+            },
+            class: (seq % 2) as u16,
+            skewed: seq.is_multiple_of(50),
+        })
+        .collect();
+    let dir = std::env::temp_dir().join(format!("xbar_crit_serve_wal_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("bench dir");
+    let path = dir.join("t.wal");
+    g.throughput(Throughput::Elements(RECORDS));
+    g.bench_function("append_20k", |b| {
+        b.iter(|| {
+            let _ = std::fs::remove_file(&path);
+            let (mut wal, _) = Wal::open(&path, 0).expect("wal opens");
+            for r in &recs {
+                wal.append(black_box(r)).expect("append");
+            }
+            wal.commit().expect("commit");
+            wal.len()
+        })
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+    g.finish();
+}
+
 /// Recovery cost: reopen a daemon whose WAL already holds the full
 /// stream — snapshot load + tail replay + dedupe watermark setup.
 fn bench_recovery(c: &mut Criterion) {
@@ -106,6 +173,6 @@ fn bench_recovery(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = quick();
-    targets = bench_ingest, bench_recovery
+    targets = bench_ingest, bench_parse, bench_wal, bench_recovery
 }
 criterion_main!(benches);

@@ -108,39 +108,46 @@ pub fn parse_line(raw: &str) -> Result<Option<ParsedLine>, String> {
 }
 
 /// [`parse_line`] without allocating: the tenant name borrows from `raw`.
+///
+/// One pass over `raw`'s bytes finds at most five tokens, split and
+/// trimmed at `char::is_whitespace` as `str::split_whitespace` does; the
+/// tenant, op and class are then checked in place. Every check, its order
+/// and its message are those of the `str`-based oracle in the tests.
 fn parse(raw: &str) -> Result<Option<(&str, ParsedEvent)>, String> {
-    let line = raw.trim();
-    if line.is_empty() || line.starts_with('#') {
+    let mut tok = [""; 5];
+    let n = tokens(raw, &mut tok);
+    let [tenant, op, class_s, stamp, extra] = tok;
+    if n == 0 || tenant.starts_with('#') {
         return Ok(None);
     }
-    let mut parts = line.split_whitespace();
-    let tenant = parts.next().ok_or("missing tenant")?;
     if !tenant
         .bytes()
         .all(|b| b.is_ascii_alphanumeric() || b == b'-' || b == b'_')
     {
         return Err(format!("bad tenant name '{tenant}'"));
     }
-    let op = parts.next().ok_or("missing op (a|d)")?;
-    let class_s = parts.next().ok_or("missing class index")?;
-    let class: usize = class_s
-        .parse()
-        .map_err(|_| format!("bad class index '{class_s}'"))?;
+    if n < 2 {
+        return Err("missing op (a|d)".into());
+    }
+    if n < 3 {
+        return Err("missing class index".into());
+    }
+    let class = parse_class(class_s).ok_or_else(|| format!("bad class index '{class_s}'"))?;
     if class > u16::MAX as usize {
         return Err(format!("class index {class} out of range"));
     }
     let mut t = None;
-    if let Some(tok) = parts.next() {
-        let ts = tok
+    if n > 3 {
+        let ts = stamp
             .strip_prefix('@')
-            .ok_or_else(|| format!("unexpected token '{tok}'"))?;
-        let v: f64 = ts.parse().map_err(|_| format!("bad timestamp '{ts}'"))?;
+            .ok_or_else(|| format!("unexpected token '{stamp}'"))?;
+        let v = parse_stamp(ts).ok_or_else(|| format!("bad timestamp '{ts}'"))?;
         if !v.is_finite() {
             return Err(format!("non-finite timestamp '{ts}'"));
         }
         t = Some(v);
     }
-    if let Some(extra) = parts.next() {
+    if n > 4 {
         return Err(format!("trailing token '{extra}'"));
     }
     let event = match op {
@@ -149,6 +156,116 @@ fn parse(raw: &str) -> Result<Option<(&str, ParsedEvent)>, String> {
         _ => return Err(format!("bad op '{op}' (expected a|d)")),
     };
     Ok(Some((tenant, ParsedEvent { event, t })))
+}
+
+/// Fill `out` with the first tokens of `raw`, the maximal runs of chars
+/// that are not `char::is_whitespace`, and return how many it found.
+/// Printable ASCII and the space are decided inline; any other byte asks
+/// [`space_width`].
+fn tokens<'a>(raw: &'a str, out: &mut [&'a str; 5]) -> usize {
+    let bytes = raw.as_bytes();
+    let mut i = 0;
+    for (n, slot) in out.iter_mut().enumerate() {
+        loop {
+            if i == bytes.len() {
+                return n;
+            }
+            match bytes[i] {
+                b' ' => i += 1,
+                b if b.is_ascii_graphic() => break,
+                _ => match space_width(raw, i) {
+                    0 => break,
+                    w => i += w,
+                },
+            }
+        }
+        let start = i;
+        while i < bytes.len() {
+            match bytes[i] {
+                b if b.is_ascii_graphic() => i += 1,
+                b' ' => break,
+                _ if space_width(raw, i) > 0 => break,
+                _ => i += 1,
+            }
+        }
+        *slot = &raw[start..i];
+    }
+    out.len()
+}
+
+/// The byte width of the char at byte `i` of `raw` if that char is
+/// `char::is_whitespace`, else 0. A byte in `0x80..0xC0` continues a char,
+/// which a token scan steps through byte by byte: it is not whitespace.
+/// Only a lead byte (`0xC0..`) has its char decoded. Out of line, so the
+/// token loops stay small for the common ASCII line.
+#[cold]
+#[inline(never)]
+fn space_width(raw: &str, i: usize) -> usize {
+    match raw.as_bytes()[i] {
+        b'\t'..=b'\r' | b' ' => 1,
+        0..=0xBF => 0,
+        _ => {
+            let c = raw[i..].chars().next().expect("a lead byte starts a char");
+            if c.is_whitespace() {
+                c.len_utf8()
+            } else {
+                0
+            }
+        }
+    }
+}
+
+/// `s.parse::<usize>()` as an `Option`. A run of at most 19 ASCII digits
+/// (below 10¹⁹, so the fold cannot overflow) is folded directly; anything
+/// else, such as a `+` sign or a longer run, goes to `str::parse`.
+fn parse_class(s: &str) -> Option<usize> {
+    if s.len() <= 19 && s.bytes().all(|b| b.is_ascii_digit()) {
+        let v = s.bytes().fold(0u64, |v, b| v * 10 + u64::from(b - b'0'));
+        usize::try_from(v).ok()
+    } else {
+        s.parse().ok()
+    }
+}
+
+/// `s.parse::<f64>()` as an `Option`, bit for bit. A plain decimal (ASCII
+/// digits and at most one `.`, at least one digit) whose digits read as
+/// one integer `m` stay below 2⁵³ with `k` ≤ 22 of them after the point
+/// is `m / 10^k`: both operands are exact in `f64`, so the one division is
+/// correctly rounded, as `str::parse` is. Any other form (a sign, an
+/// exponent, `inf`, a longer mantissa) goes to `str::parse`.
+fn parse_stamp(s: &str) -> Option<f64> {
+    const EXACT: u64 = 1 << 53;
+    const POW10: [f64; 23] = [
+        1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
+        1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+    ];
+    let b = s.as_bytes();
+    let mut m = 0u64;
+    let mut i = 0;
+    while i < b.len() && b[i].is_ascii_digit() {
+        m = m * 10 + u64::from(b[i] - b'0');
+        if m >= EXACT {
+            return s.parse().ok();
+        }
+        i += 1;
+    }
+    let int_digits = i;
+    if i < b.len() && b[i] == b'.' {
+        i += 1;
+    }
+    let point = i;
+    while i < b.len() && b[i].is_ascii_digit() {
+        m = m * 10 + u64::from(b[i] - b'0');
+        if m >= EXACT {
+            return s.parse().ok();
+        }
+        i += 1;
+    }
+    let k = i - point;
+    if i < b.len() || int_digits + k == 0 || k >= POW10.len() {
+        return s.parse().ok();
+    }
+    Some(m as f64 / POW10[k])
 }
 
 /// Daemon configuration.
@@ -642,6 +759,9 @@ impl Daemon {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use xbar_admission::PolicySpec;
     use xbar_core::Dims;
     use xbar_traffic::{TrafficClass, Workload};
@@ -685,6 +805,288 @@ mod tests {
             "t a 0 1.5", // timestamp without @
         ] {
             assert!(parse_line(bad).is_err(), "{bad:?} should be malformed");
+        }
+    }
+
+    /// The `str`-based parser that [`parse`] replaced: the oracle.
+    fn parse_oracle(raw: &str) -> Result<Option<(&str, ParsedEvent)>, String> {
+        let line = raw.trim();
+        if line.is_empty() || line.starts_with('#') {
+            return Ok(None);
+        }
+        let mut parts = line.split_whitespace();
+        let tenant = parts.next().ok_or("missing tenant")?;
+        if !tenant
+            .bytes()
+            .all(|b| b.is_ascii_alphanumeric() || b == b'-' || b == b'_')
+        {
+            return Err(format!("bad tenant name '{tenant}'"));
+        }
+        let op = parts.next().ok_or("missing op (a|d)")?;
+        let class_s = parts.next().ok_or("missing class index")?;
+        let class: usize = class_s
+            .parse()
+            .map_err(|_| format!("bad class index '{class_s}'"))?;
+        if class > u16::MAX as usize {
+            return Err(format!("class index {class} out of range"));
+        }
+        let mut t = None;
+        if let Some(tok) = parts.next() {
+            let ts = tok
+                .strip_prefix('@')
+                .ok_or_else(|| format!("unexpected token '{tok}'"))?;
+            let v: f64 = ts.parse().map_err(|_| format!("bad timestamp '{ts}'"))?;
+            if !v.is_finite() {
+                return Err(format!("non-finite timestamp '{ts}'"));
+            }
+            t = Some(v);
+        }
+        if let Some(extra) = parts.next() {
+            return Err(format!("trailing token '{extra}'"));
+        }
+        let event = match op {
+            "a" => Event::Arrival { class },
+            "d" => Event::Departure { class },
+            _ => return Err(format!("bad op '{op}' (expected a|d)")),
+        };
+        Ok(Some((tenant, ParsedEvent { event, t })))
+    }
+
+    /// `parse_line` and the oracle agree on `line`: the same `Ok` value,
+    /// timestamp bits included, or the same `Err` message.
+    fn agrees_with_oracle(line: &str) -> Result<(), String> {
+        let bits = |r: Result<Option<ParsedLine>, String>| {
+            r.map(|p| p.map(|p| (p.tenant, p.event.event, p.event.t.map(f64::to_bits))))
+        };
+        let got = bits(parse_line(line));
+        let want = bits(parse_oracle(line).map(|p| {
+            p.map(|(tenant, event)| ParsedLine {
+                tenant: tenant.to_string(),
+                event,
+            })
+        }));
+        if got == want {
+            Ok(())
+        } else {
+            Err(format!("{line:?}: scanner {got:?}, oracle {want:?}"))
+        }
+    }
+
+    /// A random protocol-shaped line: tokens and separators drawn so that
+    /// every check, the Unicode separators and both timestamp paths are
+    /// reached. One line in four is a run of random chars instead.
+    fn random_line(rng: &mut StdRng) -> String {
+        const CHARS: &[char] = &[
+            'a', 'd', 't', 'Z', 'x', '0', '1', '5', '9', '+', '-', '.', 'e', '@', '#', '_', '/',
+            ' ', '\t', '\x0B', '\u{A0}', '\u{85}', '\u{2003}', '\u{3000}', 'é',
+        ];
+        const SEPS: &[&str] = &[
+            " ",
+            " ",
+            "  ",
+            "\t",
+            "\x0B",
+            "\u{A0}",
+            "\u{85}",
+            "\u{2003}",
+            "\u{3000}",
+            " \u{3000}\t",
+        ];
+        fn pick<'a>(rng: &mut StdRng, set: &[&'a str]) -> &'a str {
+            set[rng.gen_range(0..set.len())]
+        }
+        fn chars(rng: &mut StdRng, from: &[char], len: usize) -> String {
+            (0..len)
+                .map(|_| from[rng.gen_range(0..from.len())])
+                .collect()
+        }
+        let digits = |rng: &mut StdRng, len: usize| {
+            chars(
+                rng,
+                &['0', '1', '2', '3', '4', '5', '6', '7', '8', '9'],
+                len,
+            )
+        };
+        if rng.gen_bool(0.25) {
+            let len = rng.gen_range(0..24);
+            return chars(rng, CHARS, len);
+        }
+        let mut toks: Vec<String> = Vec::new();
+        toks.push(match rng.gen_range(0..8u32) {
+            0 => pick(rng, &["#c", "bad/name", "té", "t.0", "-", "_"]).to_string(),
+            1 => {
+                let len = rng.gen_range(1..6);
+                chars(rng, CHARS, len)
+            }
+            _ => pick(rng, &["t0", "t17", "tenant-1", "a_b", "Z9"]).to_string(),
+        });
+        toks.push(pick(rng, &["a", "d", "a", "d", "x", "ad", "A", "é"]).to_string());
+        toks.push(match rng.gen_range(0..6u32) {
+            0 => {
+                let len = rng.gen_range(16..=21);
+                digits(rng, len)
+            }
+            1 => pick(
+                rng,
+                &[
+                    "+5",
+                    "-1",
+                    "65535",
+                    "65536",
+                    "0x1",
+                    "5é",
+                    "18446744073709551615",
+                    "00007",
+                ],
+            )
+            .to_string(),
+            _ => {
+                let len = rng.gen_range(1..4);
+                digits(rng, len)
+            }
+        });
+        if rng.gen_bool(0.8) {
+            let stamp = match rng.gen_range(0..6u32) {
+                // Long mantissas, long fractions: around both bounds.
+                0 | 1 => {
+                    let (int, frac) = (rng.gen_range(0..26), rng.gen_range(0..30));
+                    let mut s = digits(rng, int);
+                    if rng.gen_bool(0.8) {
+                        s.push('.');
+                        s.push_str(&digits(rng, frac));
+                    }
+                    s
+                }
+                // A small mantissa behind many fraction digits, 20 to 28.
+                2 => {
+                    let zeros = rng.gen_range(5..14);
+                    let len = rng.gen_range(1..16);
+                    format!("0.{}{}", "0".repeat(zeros), digits(rng, len))
+                }
+                3 => pick(
+                    rng,
+                    &[
+                        "inf",
+                        "-inf",
+                        "nan",
+                        "1e5",
+                        "-3.5",
+                        "+2",
+                        "1.5e-3",
+                        "",
+                        ".",
+                        ".5",
+                        "5.",
+                        "1.2.3",
+                        "1e400",
+                        "9007199254740993",
+                        "9007199254740992",
+                        "-0",
+                        "0.1",
+                    ],
+                )
+                .to_string(),
+                _ => {
+                    let (int, frac) = (rng.gen_range(1..6), rng.gen_range(0..9));
+                    format!("{}.{}", digits(rng, int), digits(rng, frac))
+                }
+            };
+            toks.push(if rng.gen_bool(0.95) {
+                format!("@{stamp}")
+            } else {
+                stamp
+            });
+        }
+        if rng.gen_bool(0.05) {
+            let len = rng.gen_range(1..4);
+            toks.push(chars(rng, CHARS, len));
+        }
+        let mut line = String::new();
+        if rng.gen_bool(0.2) {
+            line.push_str(pick(rng, SEPS));
+        }
+        for (i, tok) in toks.iter().enumerate() {
+            if i > 0 {
+                line.push_str(pick(rng, SEPS));
+            }
+            line.push_str(tok);
+        }
+        if rng.gen_bool(0.2) {
+            line.push_str(pick(rng, SEPS));
+        }
+        if rng.gen_bool(0.1) {
+            // One stray char anywhere, at a char boundary.
+            let at = line.char_indices().map(|(i, _)| i).collect::<Vec<_>>();
+            let i = if at.is_empty() {
+                0
+            } else {
+                at[rng.gen_range(0..at.len())]
+            };
+            line.insert(i, CHARS[rng.gen_range(0..CHARS.len())]);
+        }
+        line
+    }
+
+    /// Lines from [`random_line`], one seed per case.
+    fn random_lines() -> impl Strategy<Value = String> {
+        (0u64..u64::MAX).prop_map(|seed| random_line(&mut StdRng::seed_from_u64(seed)))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+        #[test]
+        fn parse_matches_the_str_oracle_on_random_lines(line in random_lines()) {
+            agrees_with_oracle(&line).map_err(TestCaseError::fail)?;
+        }
+    }
+
+    #[test]
+    fn parse_matches_the_str_oracle_on_edge_cases() {
+        for line in [
+            "tenant-1 a 0 @1.5",
+            "t d 3",
+            "",
+            "  # comment",
+            "#",
+            "t x 0",
+            "t a",
+            "t",
+            "t a notanum",
+            "t a 0 extra",
+            "t a 0 @nan",
+            "t a 0 @inf",
+            "t a 99999999",
+            "bad/name a 0",
+            "t a 0 1.5",
+            "t x 0 1.5",
+            "t x 0 @1 extra",
+            "t a +5",
+            "t a 65536",
+            "t a 18446744073709551615",
+            "t a 18446744073709551616",
+            "t a 0000000000000000000000005",
+            "t a 0 @",
+            "t a 0 @.",
+            "t a 0 @.5",
+            "t a 0 @5.",
+            "t a 0 @0.1",
+            "t a 0 @-0",
+            "t a 0 @9007199254740991",
+            "t a 0 @9007199254740992",
+            "t a 0 @9007199254740993",
+            "t a 0 @0.1234567890123456789012",
+            "t a 0 @0.12345678901234567890123",
+            "t a 0 @0.00000000000000000000001",
+            "t a 0 @1e400",
+            "t\u{3000}a\u{A0}0\u{85}@2.25\u{2003}",
+            "\u{2003}t a 0\u{3000}",
+            "t\x0Ba\x0C0\r",
+            "té a 0",
+            "t a\u{200B}0",
+            "t a 0 @1\u{A0}x y",
+        ] {
+            agrees_with_oracle(line).unwrap();
         }
     }
 
