@@ -2,7 +2,8 @@
 //! other — the trade-off the paper discusses at the end of §5.1
 //! (Algorithm 1 for small switches, Algorithm 2's stability for large) and
 //! our three numeric backends for Algorithm 1, plus the brute-force
-//! oracle's exponential wall for scale, and the measures pass on its own.
+//! oracle's exponential wall for scale, and the measures pass and one
+//! sweep recombination on their own.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -10,7 +11,7 @@ use std::hint::black_box;
 use xbar_bench::{mixed_model, plan_grid_model, table2_model};
 use xbar_core::brute::Brute;
 use xbar_core::sensitivity::sensitivity;
-use xbar_core::{solve, Algorithm};
+use xbar_core::{solve, Algorithm, SweepSolver};
 
 /// Shared quick profile: the regeneration costs here are seconds-scale,
 /// so short measurement windows already give stable estimates and keep
@@ -112,6 +113,20 @@ fn bench_measures(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_recombine(c: &mut Criterion) {
+    // One sweep point at plan-grid's largest switch: class 2 (the
+    // wideband class, a = 2) re-installed on its leave-one-out ray at a
+    // new load, then the measures. The install kernel's cut decides its
+    // cost.
+    let model = plan_grid_model(512);
+    let solver = SweepSolver::new(&model, Algorithm::Auto).unwrap();
+    let mut g = c.benchmark_group("sweep");
+    g.bench_function("recombine512", |b| {
+        b.iter(|| black_box(solver.solve_with_rho(2, black_box(1e-10)).unwrap()))
+    });
+    g.finish();
+}
+
 criterion_group!(
     name = benches;
     config = quick();
@@ -120,6 +135,7 @@ criterion_group!(
     bench_brute_force_wall,
     bench_multiclass_scaling,
     bench_gradients,
-    bench_measures
+    bench_measures,
+    bench_recombine
 );
 criterion_main!(benches);

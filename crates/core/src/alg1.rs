@@ -98,6 +98,17 @@ pub trait QScalar: Copy {
         }
         out
     }
+
+    /// A class install on the partial ray `base`: [`QScalar::combine`]
+    /// seeded from `base` over the scaled `Φ` series
+    /// ([`crate::sweep`]'s `phi_series`: `Φ(0) = 1`,
+    /// `Φ(j) = Φ(j−1)·factor·(ρ + y·(j−1))/j` up to `j = (len−1)/a`).
+    /// `f64` overrides it with the fused kernel
+    /// [`crate::simd::install_strict`], bit-for-bit this loop.
+    fn install(base: &[Self], a: usize, rho: f64, y: f64, factor: f64) -> Vec<Self> {
+        let phi = crate::sweep::phi_series::<Self>(base.len(), a, rho, y, factor);
+        Self::combine(base, &phi, a, true)
+    }
 }
 
 impl QScalar for f64 {
@@ -130,6 +141,9 @@ impl QScalar for f64 {
     }
     fn combine(base: &[f64], coef: &[f64], a: usize, seed_base: bool) -> Vec<f64> {
         crate::simd::combine_strict(base, coef, a, seed_base)
+    }
+    fn install(base: &[f64], a: usize, rho: f64, y: f64, factor: f64) -> Vec<f64> {
+        crate::simd::install_strict(base, a, rho, y, factor)
     }
 }
 

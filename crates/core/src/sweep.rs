@@ -72,6 +72,7 @@ use xbar_traffic::{TrafficClass, Workload};
 
 use crate::alg1::{scale_ln_c, QRatio, QScalar};
 use crate::model::{Dims, Model};
+use crate::simd::phi_ratio;
 use crate::solver::{Algorithm, Backend, Solution, SolveError};
 
 /// The normalised lattice restricted to the main diagonal ray
@@ -192,21 +193,26 @@ impl<S: QScalar> QRatio for Ray<S> {
 }
 
 /// Scaled `Φ_r(j)` series for one class: `phi[j] = Φ_r(j) · c^{2·j·a_r}`
-/// up to the last multiple of `a_r` that fits on a ray of length `len`.
+/// up to the last multiple of `a_r` that fits on a ray of length `len`,
+/// with `factor = c^{2·a_r}`.
 ///
 /// `Φ_r(0) = 1`, `Φ_r(j) = Φ_r(j−1) · (ρ_r + y_r·(j−1)) / j`. The
 /// `λ_r(k) = α_r + β_r·k` factors are *not* clamped at zero — Algorithm 1
 /// analytically continues Bernoulli classes the same way, and for a valid
 /// model `j − 1 < max N ≤ S` keeps every factor non-negative in range.
-fn phi_series<S: QScalar>(len: usize, a: usize, rho: f64, y: f64, ln_c: f64) -> Vec<S> {
+pub(crate) fn phi_series<S: QScalar>(
+    len: usize,
+    a: usize,
+    rho: f64,
+    y: f64,
+    factor: f64,
+) -> Vec<S> {
     let jmax = (len - 1) / a;
-    let factor = shift(a as f64, ln_c);
     let mut phi = Vec::with_capacity(jmax + 1);
     let mut cur = S::from_ln(0.0);
     phi.push(cur);
     for j in 1..=jmax {
-        let jf = j as f64;
-        cur = cur.scale(factor * (rho + y * (jf - 1.0)) / jf);
+        cur = cur.scale(phi_ratio(factor, rho, y, j));
         phi.push(cur);
     }
     phi
@@ -227,8 +233,7 @@ fn install_class<S: QScalar>(base: &[S], c: &TrafficClass, ln_c: f64) -> Vec<S> 
     #[cfg(test)]
     INSTALLS.with(|n| n.set(n.get() + 1));
     let a = c.bandwidth as usize;
-    let phi = phi_series::<S>(base.len(), a, c.rho(), c.beta / c.mu, ln_c);
-    S::combine(base, &phi, a, true)
+    S::install(base, a, c.rho(), c.beta / c.mu, shift(a as f64, ln_c))
 }
 
 fn install_all<S: QScalar>(mut ray: Vec<S>, classes: &[TrafficClass], ln_c: f64) -> Vec<S> {
@@ -598,7 +603,7 @@ fn dphi_series<S: QScalar>(len: usize, a: usize, rho: f64, y: f64, ln_c: f64) ->
     d_y.push(cur_y);
     for j in 1..=jmax {
         let jf = j as f64;
-        let cj = factor * (rho + y * (jf - 1.0)) / jf;
+        let cj = phi_ratio(factor, rho, y, j);
         cur_rho = cur_rho.scale(cj).add(phi.scale(factor / jf));
         cur_y = cur_y.scale(cj).add(phi.scale(factor * (jf - 1.0) / jf));
         d_rho.push(cur_rho);

@@ -2,7 +2,8 @@
 
 //! Offline drop-in replacement for the subset of the `criterion` API this
 //! workspace's benches use: [`Criterion`], [`BenchmarkGroup`],
-//! [`BenchmarkId`], [`Bencher::iter`], [`black_box`], and the
+//! [`BenchmarkId`], [`Bencher::iter`], [`Bencher::iter_batched`] with
+//! [`BatchSize`], [`black_box`], and the
 //! [`criterion_group!`]/[`criterion_main!`] macros (both plain and
 //! `name/config/targets` forms).
 //!
@@ -181,6 +182,15 @@ impl BenchmarkId {
     }
 }
 
+/// How [`Bencher::iter_batched`] batches its setup. The shim runs the
+/// setup once per timed call whatever the size; the one variant keeps
+/// call sites source-compatible with upstream criterion.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum BatchSize {
+    /// One setup per iteration: for inputs too costly to hold many of.
+    PerIteration,
+}
+
 /// Passed to benchmark closures; call [`Bencher::iter`] with the code under
 /// test.
 pub struct Bencher {
@@ -221,6 +231,40 @@ impl Bencher {
             }
             elapsed += t0.elapsed();
             iters += batch;
+        }
+        self.result = Some((iters, elapsed));
+    }
+
+    /// Time `routine` on a fresh input from `setup`, repeatedly, for the
+    /// configured window (once, in smoke mode). Only `routine` is timed:
+    /// `setup` runs before the clock starts and the output is dropped
+    /// after it stops.
+    pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
+    where
+        S: FnMut() -> I,
+        R: FnMut(I) -> O,
+    {
+        let mut timed = || {
+            let input = setup();
+            let t0 = Instant::now();
+            let out = black_box(routine(black_box(input)));
+            let dt = t0.elapsed();
+            drop(out);
+            dt
+        };
+        if self.smoke {
+            self.result = Some((1, timed()));
+            return;
+        }
+        let warm_end = Instant::now() + self.warm_up;
+        while Instant::now() < warm_end {
+            timed();
+        }
+        let mut iters: u64 = 0;
+        let mut elapsed = Duration::ZERO;
+        while elapsed < self.measurement {
+            elapsed += timed();
+            iters += 1;
         }
         self.result = Some((iters, elapsed));
     }
@@ -312,6 +356,38 @@ mod tests {
             |b| b.iter(|| count += 1),
         );
         assert_eq!(count, 1);
+    }
+
+    #[test]
+    fn iter_batched_hands_each_call_a_fresh_setup() {
+        for smoke in [true, false] {
+            let (mut setups, mut runs) = (0u32, 0u32);
+            run_one(
+                Duration::from_millis(2),
+                Duration::from_millis(4),
+                smoke,
+                "batched",
+                |b| {
+                    b.iter_batched(
+                        || {
+                            setups += 1;
+                            setups
+                        },
+                        |input| {
+                            runs += 1;
+                            assert_eq!(input, runs, "each call gets its own setup");
+                            std::thread::sleep(Duration::from_millis(1));
+                        },
+                        BatchSize::PerIteration,
+                    )
+                },
+            );
+            assert_eq!(setups, runs);
+            assert!(runs >= 1);
+            if smoke {
+                assert_eq!(runs, 1, "smoke mode runs once");
+            }
+        }
     }
 
     #[test]
