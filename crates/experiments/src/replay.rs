@@ -300,7 +300,7 @@ mod tests {
         // PR 10 harness path: the same CS regression as above, but from
         // independent replications merged across streams instead of batch
         // means over one long path. `rows()` itself stays on the single
-        // fixed-seed replay so `tests/golden/replay.csv` stays
+        // fixed-seed replay so `out/replay.csv` stays
         // byte-identical.
         use xbar_sim::{run_replications, Confidence, RepConfig};
         let merged = run_replications(

@@ -3,7 +3,7 @@
 //! Both are plain row vectors — the `xbar-experiments` crate renders
 //! them through its shared `Table` type so the artefacts flow through
 //! the same golden-CSV pipeline as every figure
-//! (`tests/golden/plan_frontier.csv`, `plan_contour.csv`).
+//! (`out/plan_frontier.csv`, `out/plan_contour.csv`).
 
 use crate::objective::Evaluation;
 use crate::search::PlanReport;
