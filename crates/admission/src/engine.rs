@@ -861,10 +861,11 @@ mod tests {
     }
 
     #[test]
-    fn non_finite_pricing_gradients_fail_construction() {
-        // The scaled backend's precompute is healthy here but a
-        // ρ-derivative ray overflows: the engine must refuse to start
-        // rather than fix a threshold from NaN gradients for its life.
+    fn explicit_scaled_pricing_builds_with_auto_thresholds() {
+        // The scaled precompute is healthy here, and a scaled derivative
+        // ray of the full Φ series overflowed: the engine once refused to
+        // start. Gradients now come from the healthy full ray alone, so
+        // the explicit scaled engine builds and prices as `Auto` does.
         let w = Workload::new()
             .with(TrafficClass::poisson(5.0))
             .with(TrafficClass::poisson(1e-3));
@@ -874,11 +875,9 @@ mod tests {
             algorithm,
             ..EngineConfig::default()
         };
-        assert!(matches!(
-            AdmissionEngine::new(&m, cfg(Algorithm::Alg1Scaled)).err(),
-            Some(AdmissionError::Solve(SolveError::Guard { .. }))
-        ));
-        assert!(AdmissionEngine::new(&m, cfg(Algorithm::Auto)).is_ok());
+        let scaled = AdmissionEngine::new(&m, cfg(Algorithm::Alg1Scaled)).unwrap();
+        let auto = AdmissionEngine::new(&m, cfg(Algorithm::Auto)).unwrap();
+        assert_eq!(scaled.thresholds(), auto.thresholds());
     }
 
     #[test]

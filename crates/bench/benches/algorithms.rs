@@ -99,6 +99,16 @@ fn bench_gradients(c: &mut Criterion) {
     g.bench_function("exact_sensitivity", |b| {
         b.iter(|| black_box(sensitivity(&model, Algorithm::Auto).unwrap()))
     });
+    // Pricing against a solve on plan-grid's largest switch: the full
+    // sensitivity (precompute plus R gradient passes down the full ray)
+    // beside the one solve(Auto) whose ray it reads.
+    let grid = plan_grid_model(512);
+    g.bench_function("solve_auto_512", |b| {
+        b.iter(|| black_box(solve(&grid, Algorithm::Auto).unwrap().revenue()))
+    });
+    g.bench_function("sensitivity_512", |b| {
+        b.iter(|| black_box(sensitivity(&grid, Algorithm::Auto).unwrap()))
+    });
     g.finish();
 }
 

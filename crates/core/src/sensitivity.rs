@@ -10,16 +10,21 @@
 //! ```
 //!
 //! **exactly**, by differentiating the product form itself: one
-//! [`SweepSolver`] precompute per model, then each column `s` falls out
-//! of the cached leave-one-out partials via
-//! [`SweepSolver::gradients`] — no re-solves, no step-size error.
+//! [`SweepSolver`] precompute per model — the full ray, the work of one
+//! `solve(Auto)` — then each column `s` falls out of that ray alone via
+//! [`SweepSolver::gradients`]. §4's `E_r = ρ_r·∂ln G/∂ρ_r` generalises
+//! to every BPP class: `∂ln Q/∂ρ_s` and `∂ln Q/∂y_s` are short series in
+//! the ray's own ratios `Q(d + k·a_s)/Q(d)`, so pricing builds no
+//! leave-one-out ray and no derivative ray — no re-solves, no step-size
+//! error.
 //!
-//! The previous finite-difference assembly (two full solves per column,
-//! central differences on re-solved models) is kept as
-//! [`sensitivity_fd`]: it is the test oracle the exact path is verified
-//! against (unit tests here, a proptest battery in
-//! `tests/differential.rs`), and a fallback for backends the sweep
-//! solver does not model.
+//! Two oracles check it: the product-rule derivative rays on the
+//! leave-one-out partials that computed the gradients before (kept in
+//! `sweep.rs`'s tests, to 1e-10), and the previous finite-difference
+//! assembly (two full solves per column, central differences on
+//! re-solved models), kept as [`sensitivity_fd`] (unit tests here, a
+//! proptest battery in `tests/differential.rs`) and a fallback for
+//! backends the sweep solver does not model.
 
 use xbar_numeric::{central_diff, finite_or_err};
 
@@ -43,9 +48,11 @@ pub struct Sensitivity {
     pub revenue_by_beta: Vec<f64>,
 }
 
-/// Assemble all sensitivities for `model` exactly from the sweep
-/// partials — one precompute and `R` gradient passes, which build the
-/// `R − 1` lazy leave-one-out rays (`O(R²·C²)` in all), and zero full
+/// Assemble all sensitivities for `model` exactly from its full ray —
+/// one precompute (`R` class installs, as `solve(Auto)` makes) and `R`
+/// gradient passes down that ray, each `O(C)` per Poisson class and
+/// `O(C·K)` per bursty one, `K` the terms a point's tail bound keeps
+/// (see [`SweepSolver::gradients`]); no leave-one-out ray and zero full
 /// solves (the old finite-difference assembly paid `2R·(2R + 2)` of
 /// them).
 ///
@@ -57,16 +64,13 @@ pub fn sensitivity(model: &Model, algorithm: Algorithm) -> Result<Sensitivity, S
 }
 
 /// Assemble the sensitivity matrices from an already-built
-/// [`SweepSolver`], paying only the `R` gradient recombination passes
-/// and whichever leave-one-out rays the solver has not built yet.
-/// The result is bit-identical to [`sensitivity`] on the solver's model
-/// (the precompute is the only work skipped).
+/// [`SweepSolver`], paying only the `R` gradient passes down its full
+/// ray. The result is bit-identical to [`sensitivity`] on the solver's
+/// model (the precompute is the only work skipped).
 ///
-/// An explicit fixed-range backend can overflow a derivative ray while
-/// its precompute is healthy; [`SweepSolver::gradients`] then returns
-/// inf/NaN entries. Here any non-finite gradient is a
-/// [`SolveError::Guard`], so no caller prices off it, and an unhealthy
-/// leave-one-out ray is the backend's [`SolveError::Underflow`].
+/// The gradients of the healthy ray a precompute keeps are finite; each
+/// entry is still checked, and a non-finite one is a
+/// [`SolveError::Guard`], so no caller prices off it.
 pub fn sensitivity_from(sweep: &SweepSolver) -> Result<Sensitivity, SolveError> {
     let r_count = sweep.model().num_classes();
     let finite = |what: &str, v: f64| {
@@ -80,7 +84,7 @@ pub fn sensitivity_from(sweep: &SweepSolver) -> Result<Sensitivity, SolveError> 
     let mut revenue_by_rho = vec![0.0; r_count];
     let mut revenue_by_beta = vec![0.0; r_count];
     for s in 0..r_count {
-        let g = sweep.try_gradients(s)?;
+        let g = sweep.gradients(s);
         for r in 0..r_count {
             nonblocking_by_rho[r][s] = finite("dB/drho", g.nonblocking_by_rho[r])?;
             concurrency_by_rho[r][s] = finite("dE/drho", g.concurrency_by_rho[r])?;
@@ -244,15 +248,7 @@ mod tests {
 
     #[test]
     fn exact_matrices_match_finite_difference_oracle() {
-        let w = Workload::new()
-            .with(TrafficClass::poisson(0.12).with_weight(1.0))
-            .with(TrafficClass::bpp(0.06, 0.15, 1.0).with_weight(0.3))
-            .with(
-                TrafficClass::bpp(0.3, -0.03, 0.7)
-                    .with_bandwidth(2)
-                    .with_weight(0.8),
-            );
-        let m = Model::new(Dims::square(10), w).unwrap();
+        let m = mixed();
         let exact = sensitivity(&m, Algorithm::Alg1Ext).unwrap();
         let fd = sensitivity_fd(&m, Algorithm::Alg1Ext).unwrap();
         for s in 0..3 {
@@ -273,6 +269,54 @@ mod tests {
         }
     }
 
+    /// The three-class mix of the oracle tests (Poisson, Pascal and an
+    /// `a = 2` Bernoulli class).
+    fn mixed() -> Model {
+        let w = Workload::new()
+            .with(TrafficClass::poisson(0.12).with_weight(1.0))
+            .with(TrafficClass::bpp(0.06, 0.15, 1.0).with_weight(0.3))
+            .with(
+                TrafficClass::bpp(0.3, -0.03, 0.7)
+                    .with_bandwidth(2)
+                    .with_weight(0.8),
+            );
+        Model::new(Dims::square(10), w).unwrap()
+    }
+
+    #[test]
+    fn exact_matrices_match_the_derivative_ray_oracle() {
+        let beta = Model::new(
+            Dims::square(6),
+            Workload::new()
+                .with(TrafficClass::poisson(0.1).with_weight(1.0))
+                .with(TrafficClass::bpp(0.05, 0.2, 1.0).with_weight(0.01)),
+        )
+        .unwrap();
+        for m in [model(), mixed(), beta] {
+            let want = crate::sweep::tests::oracle(&m);
+            for algorithm in [Algorithm::Auto, Algorithm::Alg1Ext] {
+                let sens = sensitivity(&m, algorithm).unwrap();
+                for (s, o) in want.iter().enumerate() {
+                    let g = &o.gradients;
+                    for r in 0..m.num_classes() {
+                        close(
+                            sens.nonblocking_by_rho[r][s],
+                            g.nonblocking_by_rho[r],
+                            1e-10,
+                        );
+                        close(
+                            sens.concurrency_by_rho[r][s],
+                            g.concurrency_by_rho[r],
+                            1e-10,
+                        );
+                    }
+                    close(sens.revenue_by_rho[s], g.revenue_by_rho, 1e-10);
+                    close(sens.revenue_by_beta[s], g.revenue_by_beta, 1e-10);
+                }
+            }
+        }
+    }
+
     #[test]
     fn sensitivity_from_cached_solver_is_bit_identical_and_precompute_free() {
         let m = model();
@@ -285,8 +329,9 @@ mod tests {
         let snap = reg.snapshot();
         assert!(snap.histogram("span.sweep.precompute").is_none());
         assert_eq!(snap.counter("sweep.gradients"), Some(2));
-        // The gradient passes build the R − 1 = 1 lazy leave-one-out ray.
-        assert_eq!(snap.counter("sweep.loo_build"), Some(1));
+        // The gradient passes read the full ray alone: no leave-one-out
+        // ray is built.
+        assert_eq!(snap.counter("sweep.loo_build"), None);
 
         for s in 0..2 {
             for r in 0..2 {
